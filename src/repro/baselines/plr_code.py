@@ -27,7 +27,6 @@ from repro.core.recurrence import Recurrence
 from repro.gpusim.cost import Traffic
 from repro.gpusim.l2cache import AccessStreamSummary
 from repro.gpusim.spec import MachineSpec
-from repro.plr.factors import CorrectionFactorTable
 from repro.plr.optimizer import (
     FactorRealization,
     OptimizationConfig,
@@ -35,7 +34,7 @@ from repro.plr.optimizer import (
 )
 from repro.plr.phase1 import doubling_widths
 from repro.plr.planner import plan_execution
-from repro.plr.solver import PLRSolver
+from repro.plr.solver import PLRSolver, cached_factor_table
 
 __all__ = ["PLRCode", "CorrectionCounts"]
 
@@ -93,7 +92,7 @@ class PLRCode(RecurrenceCode):
         if plan is None:
             plan = plan_execution(workload.recurrence.signature, workload.n, machine)
         dtype = np.int32 if workload.is_integer else np.float32
-        table = CorrectionFactorTable.build(
+        table = cached_factor_table(
             workload.recurrence.recursive_signature, plan.chunk_size, dtype
         )
         fplan = optimize_factors(table, self.optimization)
@@ -273,7 +272,7 @@ class PLRCode(RecurrenceCode):
         # factor arrays in the module image, carries, and flags.
         plan = plan_execution(workload.recurrence.signature, workload.n, machine)
         dtype = np.int32 if workload.is_integer else np.float32
-        table = CorrectionFactorTable.build(
+        table = cached_factor_table(
             workload.recurrence.recursive_signature, plan.chunk_size, dtype
         )
         fplan = optimize_factors(table, self.optimization)

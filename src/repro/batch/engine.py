@@ -35,6 +35,7 @@ from repro.obs.tracer import coerce_tracer
 from repro.batch.planner import BatchGroup, BatchPlanner, BatchRequest
 from repro.batch.solver import BatchSolver
 from repro.gpusim.spec import MachineSpec
+from repro.parallel.sharding import check_pool_backend
 from repro.resilience.solver import FallbackPolicy, solve_request
 
 __all__ = ["BatchEngine", "RequestOutcome", "execute_batch"]
@@ -93,8 +94,9 @@ class BatchEngine:
         *isolated* re-runs: ``"process"`` lets an isolated request use
         the multicore sharded path (its worker lanes then appear in the
         request's trace).  ``"native"`` additionally switches the
-        grouped pass itself to the JIT-compiled C kernels (per-row, one
-        compile per kernel shape) with automatic numpy fallback.
+        grouped pass itself to the JIT-compiled C kernel (one batched
+        call per group, one compile per kernel shape) with automatic
+        numpy fallback; it takes no ``workers``.
         ``"auto"`` lets the machine's calibration table pick the
         grouped-pass backend per (signature class, row length, dtype)
         (:mod:`repro.tune`); isolated re-runs then use the
@@ -121,6 +123,7 @@ class BatchEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = coerce_tracer(tracer)
         self.clock = clock
+        check_pool_backend(backend, workers)
         self.backend = backend
         self.workers = workers
         self.shard_options = shard_options
@@ -283,7 +286,7 @@ class BatchEngine:
                 group.signature,
                 machine=self.machine,
                 tracer=self.tracer,
-                # The grouped pass may run native kernels per row (or
+                # The grouped pass may run the native kernel (or
                 # let the calibration table pick); the process backend
                 # stays isolation-only (batching and sharding compose
                 # badly for small groups).

@@ -13,20 +13,29 @@ Equivalence contract: for any row, ``BatchSolver.solve(batch)[i]``
 equals ``PLRSolver.solve(batch[i])`` under the same plan — exactly for
 integer dtypes (wrap-around arithmetic is chunking-invariant), and to
 within a few ulps for floats (the spine uses a matrix product where the
-single-request path uses a matrix-vector product).
+single-request path uses a matrix-vector product).  The native backend
+is stricter: every row is byte-for-byte
+``PLRSolver(backend="native").solve(batch[i])``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.codegen.jit import solver_kernel
+from repro.core.errors import BackendError, CodegenError
 from repro.core.recurrence import Recurrence
 from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.gpusim.spec import MachineSpec
+from repro.obs.metrics import global_metrics
 from repro.obs.tracer import coerce_tracer
+from repro.parallel.sharding import ShardOptions, check_pool_backend
 from repro.plr.nd import solve_batch
+from repro.plr.optimizer import optimize_factors
+from repro.plr.phase1 import check_integer_coefficients
 from repro.plr.planner import ExecutionPlan, plan_execution
+from repro.plr.solver import cached_factor_table
 
 __all__ = ["BatchSolver"]
 
@@ -50,9 +59,10 @@ class BatchSolver:
         ``"process"`` shards the batch axis across a multicore pool —
         rows are independent, so workers need no carry exchange at all
         (see :func:`repro.parallel.solve_batch_sharded`);
-        ``"native"`` runs each row through the JIT-compiled C kernel
+        ``"native"`` solves the whole stack in one call of the
+        JIT-compiled C kernel's batched entry point
         (:mod:`repro.codegen.jit` — one compile per (signature, plan,
-        dtype), then a dict lookup per row), degrading to the
+        dtype), OpenMP over rows × chunks), degrading to the
         vectorized numpy pass with a ``native.fallbacks`` count when no
         compiler is available or compilation fails;
         ``"auto"`` consults the machine's calibration table
@@ -62,7 +72,8 @@ class BatchSolver:
         fallback.
     workers / shard_options:
         Process-backend pool tuning, as on
-        :class:`~repro.plr.solver.PLRSolver`.
+        :class:`~repro.plr.solver.PLRSolver`; rejected with a
+        :class:`~repro.core.errors.BackendError` for ``"native"``.
     policy:
         ``backend="auto"`` only: the tuning policy to consult; the
         process-wide default when None.
@@ -92,11 +103,9 @@ class BatchSolver:
         self.tracer = coerce_tracer(tracer)
         self.backend = backend
         self.policy = policy
-        self._native_solver = None
         if shard_options is None:
-            from repro.parallel.sharding import ShardOptions
-
             shard_options = ShardOptions(workers=workers)
+        check_pool_backend(backend, shard_options.workers)
         self.shard_options = shard_options
 
     def plan_for(self, n: int) -> ExecutionPlan:
@@ -182,38 +191,32 @@ class BatchSolver:
         return decision.backend
 
     def _solve_native(self, values, plan, dtype):
-        """Row loop through the compiled kernel; ``None`` → numpy pass.
+        """The whole stack in one kernel call; ``None`` → numpy pass.
 
-        The kernel solves one sequence at a time, so the batch is a
-        Python loop over rows — the per-row overhead is one memoized
-        cache lookup plus the ctypes call, and the kernel itself is far
-        faster than the vectorized pass, so the loop still wins for the
-        row lengths the batch engine buckets.  Any typed backend failure
-        degrades the whole group to the vectorized numpy pass.
+        Casts and maps the ``(B, n)`` stack once, fetches the cached
+        factor table with its memoized factor plan and the memoized
+        kernel, then makes one ``plr_compute_batch`` call.  Any typed
+        backend failure degrades the whole group to the vectorized
+        numpy pass.
         """
-        from repro.core.errors import BackendError, CodegenError
-        from repro.obs.metrics import global_metrics
-        from repro.plr.solver import PLRSolver
-
-        if self._native_solver is None:
-            self._native_solver = PLRSolver(
-                self.recurrence,
-                machine=self.machine,
-                tracer=self.tracer,
-                backend="native",
-                native_fallback=False,
-            )
+        rec = self.recurrence
+        check_integer_coefficients(
+            rec.signature.feedforward + rec.signature.feedback, dtype
+        )
+        work = values.astype(dtype, copy=False)
+        if rec.has_map_stage:
+            work = rec.apply_map_stage(work)
+        table = cached_factor_table(rec.recursive_signature, plan.chunk_size, dtype)
         try:
+            kernel = solver_kernel(
+                rec.recursive_signature, plan, table, optimize_factors(table)
+            )
             with self.tracer.span(
                 "batch_native",
                 cat="batch",
                 args={"batch": len(values)} if self.tracer.enabled else None,
             ):
-                rows = [
-                    self._native_solver.solve(row, plan=plan, dtype=dtype)
-                    for row in values
-                ]
-            return np.stack(rows)
+                return kernel.batch(work)
         except (BackendError, CodegenError):
             global_metrics().counter("native.fallbacks").inc()
             return None

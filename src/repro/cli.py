@@ -60,9 +60,8 @@ from repro.eval.figures import figure10_throughputs, figure_definitions
 from repro.eval.harness import run_experiment
 from repro.eval.report import render_figure, render_figure10, render_table
 from repro.eval.tables import table2_memory_usage, table3_l2_misses
-from repro.plr.factors import CorrectionFactorTable
 from repro.plr.optimizer import optimize_factors
-from repro.plr.solver import PLRSolver
+from repro.plr.solver import PLRSolver, cached_factor_table
 
 __all__ = ["main", "build_parser"]
 
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the process backend / native sharding",
+        help="worker count for the process backend (native takes none)",
     )
     serve_p.add_argument(
         "--self-test",
@@ -570,9 +569,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_factors(args: argparse.Namespace) -> int:
     recurrence = Recurrence.parse(args.signature)
     dtype = np.int64 if recurrence.is_integer else np.float64
-    table = CorrectionFactorTable.build(
-        recurrence.recursive_signature, args.m, dtype
-    )
+    table = cached_factor_table(recurrence.recursive_signature, args.m, dtype)
     plan = optimize_factors(table)
     for j in range(table.order):
         values = ", ".join(str(v) for v in table.row(j))

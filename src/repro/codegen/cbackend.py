@@ -246,41 +246,56 @@ static void plr_phase1_chunk(const {ctype} *input, {ctype} *chunk_vals,
     }}
 }}
 
-void plr_compute(const {ctype} *input, {ctype} *output, long long n) {{
-    if (n <= 0) return;
+/* rows independent sequences of length n, stored row-major.  Every
+ * row is cut into the same chunks and runs the same per-chunk code and
+ * the same spine as a one-row call, so each output row is bit-identical
+ * to plr_compute on that row alone. */
+void plr_compute_batch(const {ctype} *input, {ctype} *output,
+                       long long rows, long long n) {{
+    if (rows <= 0 || n <= 0) return;
     long long chunks = (n + PLR_M - 1) / PLR_M;
-    {ctype} *work = ({ctype} *)malloc((size_t)chunks * PLR_M * sizeof({ctype}));
-    {ctype} *local = ({ctype} *)malloc((size_t)chunks * PLR_K * sizeof({ctype}));
-    {ctype} *global = ({ctype} *)malloc((size_t)chunks * PLR_K * sizeof({ctype}));
+    long long pairs = rows * chunks;
+    {ctype} *work = ({ctype} *)malloc((size_t)pairs * PLR_M * sizeof({ctype}));
+    {ctype} *local = ({ctype} *)malloc((size_t)pairs * PLR_K * sizeof({ctype}));
+    {ctype} *global = ({ctype} *)malloc((size_t)pairs * PLR_K * sizeof({ctype}));
 
-    /* Phase 1 over all chunks (embarrassingly parallel). */
+    /* Phase 1 over all (row, chunk) pairs (embarrassingly parallel). */
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
-    for (long long c = 0; c < chunks; c++) {{
-        plr_phase1_chunk(input, work + c * PLR_M, c * PLR_M, n);
+    for (long long p = 0; p < pairs; p++) {{
+        long long r = p / chunks, c = p % chunks;
+        plr_phase1_chunk(input + r * n, work + p * PLR_M, c * PLR_M, n);
         for (int j = 0; j < PLR_K; j++)
-            local[c * PLR_K + j] = work[c * PLR_M + PLR_M - 1 - j];
+            local[p * PLR_K + j] = work[p * PLR_M + PLR_M - 1 - j];
     }}
 
-    /* Carry spine: G_c = L_c + M * G_(c-1).  O(chunks * k^2). */
-    for (int j = 0; j < PLR_K; j++) global[j] = local[j];
-    for (long long c = 1; c < chunks; c++) {{
-        for (int r = 0; r < PLR_K; r++) {{
-            {ctype} acc = local[c * PLR_K + r];
-            for (int j = 0; j < PLR_K; j++)
-                acc += plr_carry_matrix[r][j] * global[(c - 1) * PLR_K + j];
-            global[c * PLR_K + r] = acc;
+    /* Carry spine per row: G_c = L_c + M * G_(c-1).  O(chunks * k^2). */
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (rows > 1)
+#endif
+    for (long long r = 0; r < rows; r++) {{
+        const {ctype} *lrow = local + r * chunks * PLR_K;
+        {ctype} *grow = global + r * chunks * PLR_K;
+        for (int j = 0; j < PLR_K; j++) grow[j] = lrow[j];
+        for (long long c = 1; c < chunks; c++) {{
+            for (int q = 0; q < PLR_K; q++) {{
+                {ctype} acc = lrow[c * PLR_K + q];
+                for (int j = 0; j < PLR_K; j++)
+                    acc += plr_carry_matrix[q][j] * grow[(c - 1) * PLR_K + j];
+                grow[c * PLR_K + q] = acc;
+            }}
         }}
     }}
 
-    /* Phase 2 bulk correction (embarrassingly parallel). */
+    /* Phase 2 bulk correction over all pairs (embarrassingly parallel). */
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
-    for (long long c = 0; c < chunks; c++) {{
-        const {ctype} *prev = (c > 0) ? global + (c - 1) * PLR_K : 0;
-        {ctype} *chunk_vals = work + c * PLR_M;
+    for (long long p = 0; p < pairs; p++) {{
+        long long r = p / chunks, c = p % chunks;
+        const {ctype} *prev = (c > 0) ? global + (p - 1) * PLR_K : 0;
+        {ctype} *chunk_vals = work + p * PLR_M;
         if (prev) {{
             for (long long i = 0; i < PLR_M; i++) {{
                 {ctype} acc = 0;
@@ -290,19 +305,28 @@ void plr_compute(const {ctype} *input, {ctype} *output, long long n) {{
         }}
         long long lo = c * PLR_M;
         long long count = (lo + PLR_M <= n) ? PLR_M : (n - lo);
-        memcpy(output + lo, chunk_vals, (size_t)count * sizeof({ctype}));
+        memcpy(output + r * n + lo, chunk_vals, (size_t)count * sizeof({ctype}));
     }}
 
     free(work);
     free(local);
     free(global);
 }}
+
+void plr_compute(const {ctype} *input, {ctype} *output, long long n) {{
+    plr_compute_batch(input, output, 1, n);
+}}
 """
 
 
 @dataclass
 class CompiledCKernel:
-    """A compiled-and-loaded generated kernel, callable from numpy."""
+    """A compiled-and-loaded generated kernel, callable from numpy.
+
+    ``kernel(x)`` solves one sequence; ``kernel.batch(X)`` solves every
+    row of a ``(B, n)`` stack in one ``plr_compute_batch`` call, each row
+    bit-identical to ``kernel(X[i])``.
+    """
 
     ir: KernelIR
     source: str
@@ -316,6 +340,14 @@ class CompiledCKernel:
             raise BackendError(
                 f"native kernel expects a 1-D array, got shape {values.shape}"
             )
+        return self.batch(values[None, :])[0]
+
+    def batch(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        if values.ndim != 2:
+            raise BackendError(
+                f"native batch kernel expects a 2-D array, got shape {values.shape}"
+            )
         if values.size == 0:
             raise BackendError(
                 "native kernel expects a non-empty array (length-0 inputs "
@@ -323,11 +355,8 @@ class CompiledCKernel:
             )
         values = np.ascontiguousarray(values, dtype=self.ir.dtype)
         out = np.empty_like(values)
-        self._lib.plr_compute(
-            values.ctypes.data_as(ctypes.c_void_p),
-            out.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_longlong(values.size),
-        )
+        rows, n = values.shape
+        self._lib.plr_compute_batch(values.ctypes.data, out.ctypes.data, rows, n)
         return out
 
 
@@ -426,25 +455,32 @@ def kernel_digest(
 
 
 def load_kernel_library(so_path: str | os.PathLike) -> ctypes.CDLL:
-    """Load a compiled kernel and validate its entry point.
+    """Load a compiled kernel and validate its entry points.
 
     Raises a typed :class:`BackendError` both when the object cannot be
     loaded (truncated/corrupt file) and when it loads but does not
-    export ``plr_compute`` — callers never see a raw ``OSError`` or
-    ``AttributeError`` from the ctypes layer.
+    export ``plr_compute`` and ``plr_compute_batch`` — callers never see
+    a raw ``OSError`` or ``AttributeError`` from the ctypes layer.
     """
     try:
         lib = ctypes.CDLL(str(so_path))
     except OSError as exc:
         raise BackendError(f"failed to load native kernel {so_path}: {exc}") from exc
-    try:
-        entry = lib.plr_compute
-    except AttributeError:
-        raise BackendError(
-            f"native kernel {so_path} does not export the 'plr_compute' symbol"
-        ) from None
-    entry.restype = None
-    entry.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]
+    entries = {
+        "plr_compute": [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong],
+        "plr_compute_batch": [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
+        ],
+    }
+    for name, argtypes in entries.items():
+        try:
+            entry = getattr(lib, name)
+        except AttributeError:
+            raise BackendError(
+                f"native kernel {so_path} does not export the {name!r} symbol"
+            ) from None
+        entry.restype = None
+        entry.argtypes = argtypes
     return lib
 
 

@@ -26,6 +26,7 @@ from repro.plr.optimizer import (
     optimize_factors,
 )
 from repro.plr.planner import ExecutionPlan, plan_execution
+from repro.plr.solver import cached_factor_table
 
 __all__ = ["KernelIR", "build_ir"]
 
@@ -109,7 +110,7 @@ def build_ir(
         # The paper evaluates 32-bit words throughout (Section 5).
         dtype = np.int32 if recurrence.is_integer else np.float32
     dtype = np.dtype(dtype)
-    table = CorrectionFactorTable.build(
+    table = cached_factor_table(
         recurrence.recursive_signature, plan.chunk_size, dtype
     )
     factor_plan = optimize_factors(table, optimization)

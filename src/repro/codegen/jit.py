@@ -26,7 +26,7 @@ cache behaviour.  See ``docs/native.md``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,13 +34,19 @@ from repro.codegen import cbackend
 from repro.codegen.cbackend import CompiledCKernel
 from repro.codegen.ir import KernelIR
 from repro.core.errors import BackendError
+from repro.core.recurrence import Recurrence
+from repro.core.signature import Signature
 from repro.obs.metrics import global_metrics
+from repro.plr.factors import CorrectionFactorTable
+from repro.plr.optimizer import FactorPlan
+from repro.plr.planner import ExecutionPlan
 
 __all__ = [
     "NativeAttempt",
     "clear_native_cache",
     "native_available",
     "native_kernel",
+    "solver_kernel",
 ]
 
 
@@ -57,9 +63,6 @@ class NativeAttempt:
         The kernel's cache digest (``plr_<digest>.so``) when used.
     library_path:
         The loaded shared object when used.
-    sharded:
-        True when the kernel ran per-slab under the multicore sharded
-        backend rather than in-process.
     error:
         The typed error message that forced the numpy fallback, empty
         when ``used``.
@@ -68,7 +71,6 @@ class NativeAttempt:
     used: bool
     digest: str = ""
     library_path: str = ""
-    sharded: bool = False
     error: str = ""
 
 
@@ -85,17 +87,30 @@ def native_available() -> bool:
         return False
 
 
-def _kernel_key(ir: KernelIR, workdir) -> tuple:
+def _kernel_key(signature, chunk_size, values_per_thread, dtype, config, workdir) -> tuple:
     # The emitted source is a pure function of these — hashing them is
     # much cheaper than emitting ~chunk_size factor literals per solve.
     return (
-        str(ir.recurrence.signature),
-        ir.plan.chunk_size,
-        ir.plan.values_per_thread,
-        np.dtype(ir.dtype).str,
-        ir.factor_plan.config,
+        str(signature),
+        chunk_size,
+        values_per_thread,
+        np.dtype(dtype).str,
+        config,
         str(workdir) if workdir is not None else None,
     )
+
+
+def _memoized(key: tuple, make_ir, workdir) -> CompiledCKernel:
+    with _LOCK:
+        kernel = _KERNELS.get(key)
+    if kernel is not None:
+        global_metrics().counter("native.kernel_hits").inc()
+        return kernel
+    kernel = cbackend.compile_c_kernel(make_ir(), workdir=workdir)
+    global_metrics().counter("native.compiles").inc()
+    with _LOCK:
+        _KERNELS[key] = kernel
+    return kernel
 
 
 def native_kernel(ir: KernelIR, workdir=None) -> CompiledCKernel:
@@ -107,17 +122,47 @@ def native_kernel(ir: KernelIR, workdir=None) -> CompiledCKernel:
     cannot spell; neither outcome is cached, so a toolchain appearing
     later is picked up by the next call.
     """
-    key = _kernel_key(ir, workdir)
-    with _LOCK:
-        kernel = _KERNELS.get(key)
-    if kernel is not None:
-        global_metrics().counter("native.kernel_hits").inc()
-        return kernel
-    kernel = cbackend.compile_c_kernel(ir, workdir=workdir)
-    global_metrics().counter("native.compiles").inc()
-    with _LOCK:
-        _KERNELS[key] = kernel
-    return kernel
+    key = _kernel_key(
+        ir.recurrence.signature,
+        ir.plan.chunk_size,
+        ir.plan.values_per_thread,
+        ir.dtype,
+        ir.factor_plan.config,
+        workdir,
+    )
+    return _memoized(key, lambda: ir, workdir)
+
+
+def solver_kernel(
+    recursive_signature: Signature,
+    plan: ExecutionPlan,
+    table: CorrectionFactorTable,
+    factor_plan: FactorPlan,
+) -> CompiledCKernel:
+    """The kernel ``backend="native"`` runs for one (plan, table).
+
+    It is built from the *recursive-only* signature (the host runs the
+    map stage) with one serial cell spanning each chunk (``x = m``): the
+    doubling hierarchy inside a chunk is a GPU shape, while on a CPU the
+    chunk-serial solve plus the carry spine plus the bulk correction is
+    both less work and the layout OpenMP parallelizes cleanly.  The
+    kernel pads internally, so the host neither pads nor copies.  A
+    cache hit builds no IR; it shares its cache entry with
+    :func:`native_kernel` on the equivalent IR.
+    """
+    m = plan.chunk_size
+    key = _kernel_key(recursive_signature, m, m, table.dtype, factor_plan.config, None)
+    return _memoized(
+        key,
+        lambda: KernelIR(
+            recurrence=Recurrence(recursive_signature),
+            plan=replace(plan, values_per_thread=m),
+            table=table,
+            factor_plan=factor_plan,
+            dtype=table.dtype,
+        ),
+        None,
+    )
 
 
 def clear_native_cache(disk: bool = False) -> int:

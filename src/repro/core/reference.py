@@ -56,7 +56,9 @@ def fir_map(values: np.ndarray, feedforward: Sequence[float]) -> np.ndarray:
 
     Missing terms (i - j < 0) are zero, matching the paper's convention
     x[j] = 0 for j < 0.  This stage has no loop-carried dependency and
-    is computed with shifted vector adds.
+    is computed with shifted vector adds along the last axis, so a
+    ``(B, n)`` stack maps every row independently — each row
+    bit-identical to mapping it alone.
     """
     values = np.asarray(values)
     out = np.zeros_like(values)
@@ -66,7 +68,7 @@ def fir_map(values: np.ndarray, feedforward: Sequence[float]) -> np.ndarray:
         if j == 0:
             out += _scaled(values, a)
         else:
-            out[j:] += _scaled(values[:-j], a)
+            out[..., j:] += _scaled(values[..., :-j], a)
     return out
 
 

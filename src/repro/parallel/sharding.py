@@ -13,7 +13,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-__all__ = ["ShardOptions", "slab_spans", "resolve_workers"]
+from repro.core.errors import BackendError
+
+__all__ = ["ShardOptions", "check_pool_backend", "slab_spans", "resolve_workers"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,23 @@ class ShardOptions:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.inject not in (None, "die", "hang"):
             raise ValueError(f"unknown fault injection {self.inject!r}")
+
+
+def check_pool_backend(backend: str, workers: int | None) -> None:
+    """Reject a worker count on the native backend.
+
+    ``backend="native"`` is one in-process OpenMP kernel, already
+    parallel over chunks; a pool on top would only oversubscribe the
+    cores (and a forked child entering an OpenMP runtime the parent
+    already started can deadlock).  Raises a typed
+    :class:`~repro.core.errors.BackendError`.
+    """
+    if backend == "native" and workers is not None:
+        raise BackendError(
+            "backend='native' runs one in-process OpenMP kernel and takes "
+            f"no worker pool (got workers={workers}); use backend='process' "
+            "to shard across processes"
+        )
 
 
 def resolve_workers(requested: int | None, num_items: int) -> int:

@@ -92,20 +92,7 @@ def solve_batch(
 
     work = values.astype(dtype, copy=False)
     if recurrence.has_map_stage:
-        ff = [
-            a if isinstance(a, int) else float(a)
-            for a in recurrence.signature.feedforward
-        ]
-        mapped = np.zeros_like(work)
-        for j, a in enumerate(ff):
-            if a == 0:
-                continue
-            coeff = np.asarray(a, dtype=dtype) if dtype.kind == "i" else dtype.type(a)
-            if j == 0:
-                mapped += coeff * work
-            else:
-                mapped[:, j:] += coeff * work[:, :-j]
-        work = mapped
+        work = recurrence.apply_map_stage(work)
 
     if plan is None:
         plan = plan_execution(recurrence.signature, n)

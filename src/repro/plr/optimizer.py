@@ -230,9 +230,22 @@ def optimize_factors(
     table: CorrectionFactorTable,
     config: OptimizationConfig | None = None,
 ) -> FactorPlan:
-    """Analyze a factor table and choose a realization per carry."""
+    """Analyze a factor table and choose a realization per carry.
+
+    PLR runs this analysis once, when it emits a kernel; the table is
+    immutable, so the plan is memoized on it per (frozen) config and
+    every later call for the same table is a dict lookup.
+    """
     if config is None:
         config = OptimizationConfig()
+    plan = table._factor_plans.get(config)
+    if plan is None:
+        plan = _analyze(table, config)
+        table._factor_plans[config] = plan
+    return plan
+
+
+def _analyze(table: CorrectionFactorTable, config: OptimizationConfig) -> FactorPlan:
     shifted = table.shifted_duplicate_rows() if config.suppress_shifted_duplicate else None
     decisions = tuple(
         _decide_one(table, config, j, shifted) for j in range(table.order)

@@ -18,7 +18,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +32,7 @@ from repro.obs.metrics import global_metrics
 from repro.obs.tracer import coerce_tracer
 from repro.plr.factors import CorrectionFactorTable
 from repro.plr.optimizer import FactorPlan, OptimizationConfig, optimize_factors
-from repro.parallel.sharding import ShardOptions
+from repro.parallel.sharding import ShardOptions, check_pool_backend
 from repro.plr.phase1 import check_integer_coefficients, phase1
 from repro.plr.phase2 import phase2
 from repro.plr.planner import ExecutionPlan, plan_execution
@@ -209,11 +209,10 @@ class PLRSolver:
         Pool tuning for the process backend: ``workers`` is shorthand
         for ``ShardOptions(workers=...)``; pass a full
         :class:`~repro.parallel.ShardOptions` to also set the stage
-        timeout.  The native backend runs in-process by default (the
-        kernel is already OpenMP-parallel over chunks); setting
-        ``workers`` explicitly makes it shard slabs across a pool with
-        each worker running the compiled kernel on its slab, the carry
-        scan unchanged.  Both are ignored by the single backend.
+        timeout.  Ignored by the single backend.  The native backend
+        always runs one in-process kernel, already OpenMP-parallel over
+        chunks, so a worker count there is rejected with a
+        :class:`~repro.core.errors.BackendError` at construction.
     native_fallback:
         Native backend only.  True (default): a
         :class:`~repro.core.errors.BackendError` /
@@ -266,6 +265,7 @@ class PLRSolver:
             if shard_options is not None
             else ShardOptions(workers=workers)
         )
+        check_pool_backend(backend, self.shard_options.workers)
 
     # ------------------------------------------------------------------
     def plan_for(self, n: int) -> ExecutionPlan:
@@ -373,8 +373,7 @@ class PLRSolver:
         if backend == "native":
             try:
                 out, native_record = self._solve_native(
-                    work, n, plan, table, factor_plan, dtype, tracer, link,
-                    shard_options,
+                    work, n, plan, table, factor_plan, tracer, link
                 )
             except (BackendError, CodegenError) as exc:
                 if not self.native_fallback:
@@ -502,79 +501,21 @@ class PLRSolver:
             )
         return decision.backend, shard_options, decision
 
-    def _solve_native(
-        self, work, n, plan, table, factor_plan, dtype, tracer, link,
-        shard_options=None,
-    ):
-        """Run the solve through a JIT-compiled C kernel.
+    def _solve_native(self, work, n, plan, table, factor_plan, tracer, link):
+        """Run the solve through the JIT-compiled C kernel.
 
-        ``work`` is the post-map-stage, unpadded input.  The kernel is
-        built from the *recursive-only* signature with one serial cell
-        spanning each chunk (``x = m``) — the doubling hierarchy inside
-        a chunk is a GPU shape; on a CPU the chunk-serial solve plus the
-        carry spine plus the bulk correction is both less work and the
-        layout OpenMP parallelizes cleanly.  The kernel pads internally,
-        so the host neither maps nor pads twice.
+        ``work`` is the post-map-stage, unpadded input; the kernel is
+        :func:`~repro.codegen.jit.solver_kernel` for this plan.
 
         Raises :class:`~repro.core.errors.BackendError` /
         :class:`~repro.core.errors.CodegenError` when a kernel cannot be
         produced; the caller decides whether that degrades or fails.
         """
-        from repro.codegen.ir import KernelIR
-        from repro.codegen.jit import NativeAttempt, native_kernel
+        from repro.codegen.jit import NativeAttempt, solver_kernel
 
-        ir = KernelIR(
-            recurrence=Recurrence(self.recurrence.recursive_signature),
-            plan=replace(plan, values_per_thread=plan.chunk_size),
-            table=table,
-            factor_plan=factor_plan,
-            dtype=dtype,
+        kernel = solver_kernel(
+            self.recurrence.recursive_signature, plan, table, factor_plan
         )
-        kernel = native_kernel(ir)
-        if shard_options is None:
-            shard_options = self.shard_options
-
-        # Sharding is opt-in for the native backend: the kernel already
-        # parallelizes over chunks with OpenMP, so a process pool on top
-        # would oversubscribe unless the caller asked for it.
-        if shard_options.workers is not None:
-            from repro.parallel.backend import solve_sharded
-            from repro.parallel.sharding import resolve_workers, slab_spans
-
-            m = plan.chunk_size
-            num_chunks = plan.padded_n // m
-            spans = slab_spans(
-                num_chunks, resolve_workers(shard_options.workers, num_chunks)
-            )
-            if len(spans) > 1:
-                padded = np.zeros(plan.padded_n, dtype=dtype)
-                padded[:n] = work
-                sharded_ctx = link()
-                with tracer.span(
-                    "solve_sharded",
-                    cat="solver",
-                    args={"chunks": num_chunks, "native": True}
-                    if tracer.enabled
-                    else None,
-                    link=sharded_ctx,
-                ):
-                    corrected = solve_sharded(
-                        padded,
-                        table,
-                        plan.values_per_thread,
-                        options=shard_options,
-                        tracer=tracer,
-                        context=sharded_ctx,
-                        native_so=str(kernel.library_path),
-                    )
-                record = NativeAttempt(
-                    used=True,
-                    digest=kernel.digest,
-                    library_path=str(kernel.library_path),
-                    sharded=True,
-                )
-                return corrected.reshape(-1)[:n], record
-
         with tracer.span(
             "native_kernel",
             cat="solver",

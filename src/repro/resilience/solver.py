@@ -411,24 +411,18 @@ class ResilientSolver:
                     self._record(dtype, plan, seed, "worker", str(exc), t0, attempt_ctx)
                 )
                 self.metrics.counter("resilience.worker_faults").inc()
-                if self._solver.backend in ("process", "native"):
+                if self._solver.backend == "process":
                     # A broken pool is not transient within this solve:
                     # drop to the single-process path and go again
                     # without consuming a retry — same arithmetic, no
-                    # pool to break.  (A sharded *native* solve reaches
-                    # here too when its pool dies; the numpy path is the
-                    # common safe ground.)
-                    failed = self._solver.backend
+                    # pool to break.
                     self._solver = PLRSolver(
                         self.recurrence,
                         machine=self.machine if self.engine == "plr" else None,
                         tracer=self.tracer,
                     )
                     self._degrade(
-                        report,
-                        "process backend failed: single-process fallback"
-                        if failed == "process"
-                        else "native sharded workers failed: single-process fallback",
+                        report, "process backend failed: single-process fallback"
                     )
                     continue
             except BackendError as exc:

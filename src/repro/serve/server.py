@@ -57,6 +57,7 @@ from repro.obs.metrics import MetricsRegistry, exponential_buckets
 from repro.obs.sampling import SamplingPolicy, TraceLog
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.tracer import coerce_tracer
+from repro.parallel.sharding import check_pool_backend
 from repro.plr.planner import plan_execution
 from repro.plr.solver import cached_factor_table
 from repro.serve.protocol import (
@@ -175,7 +176,9 @@ class ServeConfig:
     :mod:`repro.tune`)."""
 
     workers: int | None = None
-    """Worker-pool size forwarded to the backend (isolated re-runs)."""
+    """Worker-pool size for the process backend's isolated re-runs;
+    rejected with a typed :class:`~repro.core.errors.BackendError` for
+    ``backend="native"``, which runs one in-process OpenMP kernel."""
 
     def __post_init__(self) -> None:
         if self.backend not in ("single", "native", "process", "auto"):
@@ -183,6 +186,7 @@ class ServeConfig:
                 "backend must be single|native|process|auto, "
                 f"got {self.backend!r}"
             )
+        check_pool_backend(self.backend, self.workers)
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.max_batch < 1:

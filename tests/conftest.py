@@ -60,31 +60,41 @@ def make_values(recurrence: Recurrence, n: int, seed: int = 7) -> np.ndarray:
     return generator.standard_normal(n).astype(np.float32)
 
 
-SERVE_TEST_TIMEOUT_S = 90.0
-"""Hard wall-clock ceiling for one ``serve``-marked test.
+HARD_TEST_TIMEOUT_S = 90.0
+"""Hard wall-clock ceiling for one test that can hang.
 
-The serving layer's failure mode of last resort is a hang — an awaited
-reply that never comes — and a hung asyncio test would otherwise stall
-the whole suite.  A SIGALRM fired from outside the event loop cuts
-through any stuck ``await`` (pytest-timeout is not available in this
-environment, so the guard is implemented here).
+Three kinds of test can hang rather than fail: a ``serve`` test awaiting
+a reply that never comes, a ``native`` test whose OpenMP runtime
+deadlocks, and a ``tests/test_parallel.py`` test whose forked pool
+wedges.  A SIGALRM fired from outside cuts through any stuck ``await``
+or future wait, so a hang costs seconds instead of stalling the whole
+suite (pytest-timeout is not available in this environment, so the
+guard is implemented here).
 """
+
+
+def _can_hang(item) -> bool:
+    return (
+        item.get_closest_marker("serve") is not None
+        or item.get_closest_marker("native") is not None
+        or item.path.name == "test_parallel.py"
+    )
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
-    if item.get_closest_marker("serve") is None or not hasattr(signal, "SIGALRM"):
+    if not _can_hang(item) or not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def _on_alarm(signum, frame):
         raise TimeoutError(
-            f"hard timeout: {item.nodeid} exceeded {SERVE_TEST_TIMEOUT_S:.0f}s "
-            "(a serving-layer test hung)"
+            f"hard timeout: {item.nodeid} exceeded {HARD_TEST_TIMEOUT_S:.0f}s "
+            "(a serve, native or process-pool test hung)"
         )
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, SERVE_TEST_TIMEOUT_S)
+    signal.setitimer(signal.ITIMER_REAL, HARD_TEST_TIMEOUT_S)
     try:
         yield
     finally:

@@ -2,8 +2,11 @@
 
 Covers the compile-cache hardening (atomic publication, corrupt-``.so``
 recovery, digest over compiler identity and flags), the typed kernel
-contract, the NumPy-equivalence sweep through ``PLRSolver`` and the
-sharded path, and graceful degradation when no compiler exists.
+contract, the NumPy-equivalence sweep through ``PLRSolver``, the fused
+batch entry point behind ``BatchSolver(backend="native")``, the typed
+rejection of a worker pool on the native backend, fork safety of the
+process pool after OpenMP kernels ran, and graceful degradation when
+no compiler exists.
 
 Everything here carries the ``native`` marker; the whole module skips
 cleanly on machines without a C compiler (the degradation *behaviour*
@@ -13,6 +16,7 @@ compiler probe away).
 
 from __future__ import annotations
 
+import ctypes
 import subprocess
 import sys
 from pathlib import Path
@@ -28,14 +32,23 @@ from repro.codegen.cbackend import (
     kernel_digest,
     load_kernel_library,
 )
+from repro.batch.solver import BatchSolver
+from repro.cli import main
 from repro.codegen.ir import build_ir
-from repro.codegen.jit import clear_native_cache, native_available
+from repro.codegen.jit import clear_native_cache, native_available, solver_kernel
 from repro.core.coefficients import table1_signatures
-from repro.core.errors import BackendError
+from repro.core.errors import BackendError, NumericalError
 from repro.core.recurrence import Recurrence
 from repro.core.validation import assert_valid
+from repro.obs.metrics import global_metrics
+from repro.parallel.backend import solve_sharded
 from repro.parallel.sharding import ShardOptions
-from repro.plr.solver import PLRSolver
+from repro.plr.optimizer import optimize_factors
+from repro.plr.phase1 import phase1
+from repro.plr.phase2 import phase2
+from repro.plr.solver import PLRSolver, cached_factor_table
+from repro.resilience.solver import ResilientSolver
+from repro.serve.server import ServeConfig
 from tests.conftest import TABLE1_NAMES, make_values
 
 pytestmark = [
@@ -131,6 +144,23 @@ class TestKernelContract:
         with pytest.raises(BackendError, match="plr_compute"):
             load_kernel_library(so_path)
 
+    def test_missing_batch_symbol_is_typed(self, tmp_path):
+        """A kernel from before the batched entry point fails its load."""
+        source = tmp_path / "single_only.c"
+        source.write_text(
+            "void plr_compute(const int *in, int *out, long long n) "
+            "{ for (long long i = 0; i < n; i++) out[i] = in[i]; }\n"
+        )
+        so_path = tmp_path / "single_only.so"
+        compiler = cbackend._find_compiler()
+        subprocess.run(
+            [compiler, "-shared", "-fPIC", str(source), "-o", str(so_path)],
+            check=True,
+            capture_output=True,
+        )
+        with pytest.raises(BackendError, match="plr_compute_batch"):
+            load_kernel_library(so_path)
+
     def test_unloadable_library_is_typed(self, tmp_path):
         bogus = tmp_path / "bogus.so"
         bogus.write_bytes(b"\x7fELF-but-not-really")
@@ -197,31 +227,151 @@ class TestNativeEquivalence:
         else:
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-10)
 
-    @pytest.mark.parametrize("text", ["(1: 1)", "(1: 2, -1)", "(0.2: 0.8)"])
-    def test_sharded_native_matches_single(self, text):
-        """Sharded native: every worker slab runs through the kernel,
-        the carry scan corrects across slabs, result is unchanged."""
-        recurrence = Recurrence.parse(text)
-        values = make_values(recurrence, 30000)
-        native = PLRSolver(
-            recurrence,
-            backend="native",
-            native_fallback=False,
-            shard_options=ShardOptions(workers=2),
-        )
-        got, artifacts = native.solve_with_artifacts(values)
-        expected = PLRSolver(recurrence).solve(values)
-        assert artifacts.native is not None
-        assert artifacts.native.used and artifacts.native.sharded
-        assert_valid(got, expected, context=f"native-sharded/{text}")
-
     def test_batch_solver_native_matches(self, rng):
-        from repro.batch.solver import BatchSolver
-
         values = rng.integers(-50, 50, size=(6, 4000)).astype(np.int32)
         native = BatchSolver("(1: 2, -1)", backend="native")
         single = BatchSolver("(1: 2, -1)")
         np.testing.assert_array_equal(native.solve(values), single.solve(values))
+
+
+class TestFusedBatch:
+    """``BatchSolver(backend="native")`` is one ``plr_compute_batch``
+    call whose every row is byte-for-byte the single-sequence solve."""
+
+    @pytest.mark.parametrize("name", TABLE1_NAMES)
+    def test_rows_match_single_solves(self, name):
+        recurrence = Recurrence(table1_signatures()[name])
+        single = PLRSolver(recurrence, backend="native", native_fallback=False)
+        batch = BatchSolver(recurrence, backend="native")
+        m = single.plan_for(1).chunk_size
+        k = recurrence.recursive_signature.order
+        lengths = sorted({1, max(1, k - 1), m - 1, m, m + 1, 3 * m + 7})
+        generator = np.random.default_rng(len(name))
+        fallbacks = global_metrics().counter("native.fallbacks")
+        before = fallbacks.value
+        for dtype in (np.int32, np.int64, np.float32, np.float64):
+            for n in lengths:
+                for rows in (1, 3, 64):
+                    if np.issubdtype(dtype, np.integer):
+                        values = generator.integers(-100, 100, (rows, n)).astype(dtype)
+                    else:
+                        values = generator.standard_normal((rows, n)).astype(dtype)
+                    if np.issubdtype(dtype, np.integer) and not recurrence.is_integer:
+                        # Fractional coefficients cannot run in an
+                        # integer ring: both paths refuse alike.
+                        with pytest.raises(NumericalError):
+                            batch.solve(values, dtype=dtype)
+                        with pytest.raises(NumericalError):
+                            single.solve(values[0], dtype=dtype)
+                        continue
+                    got = batch.solve(values, dtype=dtype)
+                    assert got.dtype == dtype and got.shape == (rows, n)
+                    for i in range(rows):
+                        expected = single.solve(values[i], dtype=dtype)
+                        assert got[i].tobytes() == expected.tobytes(), (
+                            f"{name} {np.dtype(dtype).name} n={n} B={rows} row {i}"
+                        )
+        assert fallbacks.value == before
+
+    def test_one_kernel_call_per_batch(self, monkeypatch, rng):
+        recurrence = Recurrence.parse("(1: 2, -1)")
+        solver = BatchSolver(recurrence, backend="native")
+        values = rng.integers(-50, 50, size=(64, 4000)).astype(np.int32)
+        solver.solve(values)  # compile outside the count
+        plan = solver.plan_for(4000)
+        table = cached_factor_table(
+            recurrence.recursive_signature, plan.chunk_size, np.int32
+        )
+        kernel = solver_kernel(
+            recurrence.recursive_signature, plan, table, optimize_factors(table)
+        )
+        calls = []
+        library = kernel._lib
+
+        class CountingLibrary:
+            def __getattr__(self, symbol):
+                entry = getattr(library, symbol)
+
+                def counted(*args):
+                    calls.append(symbol)
+                    return entry(*args)
+
+                return counted
+
+        monkeypatch.setattr(kernel, "_lib", CountingLibrary())
+        out = solver.solve(values)
+        assert calls == ["plr_compute_batch"]
+        np.testing.assert_array_equal(out, BatchSolver(recurrence).solve(values))
+
+
+class TestNoWorkerPool:
+    """``backend="native"`` is one in-process OpenMP kernel: asking for a
+    worker pool on it is a typed error at construction."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PLRSolver("(1: 1)", backend="native", workers=2),
+            lambda: PLRSolver(
+                "(1: 1)", backend="native", shard_options=ShardOptions(workers=2)
+            ),
+            lambda: BatchSolver("(1: 1)", backend="native", workers=2),
+            lambda: ResilientSolver("(1: 1)", backend="native", workers=2),
+            lambda: ServeConfig(backend="native", workers=2),
+        ],
+        ids=["solver", "shard-options", "batch", "resilient", "serve-config"],
+    )
+    def test_native_rejects_workers(self, make):
+        with pytest.raises(BackendError, match="no worker pool"):
+            make()
+
+    def test_cli_rejects_workers(self, capsys):
+        code = main(
+            ["serve", "--self-test", "--backend", "native", "--workers", "2"]
+        )
+        assert code == 2
+        assert "no worker pool" in capsys.readouterr().err
+        # ``plr run`` has no pool at all: the flag is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "(1: 1)", "--backend", "native", "--workers", "2"])
+        assert exit_info.value.code == 2
+
+
+class TestForkSafety:
+    def test_sharded_pool_after_openmp_kernel(self, rng):
+        """A forked pool must complete after OpenMP kernels ran here.
+
+        A fork copies the parent's OpenMP runtime state but not its
+        threads; a child that then enters an OpenMP region deadlocks.
+        Run a kernel on two threads first, then shard.
+        """
+        recurrence = Recurrence.parse("(1: 2, -1)")
+        values = rng.integers(-50, 50, 40000).astype(np.int32)
+        try:
+            gomp = ctypes.CDLL("libgomp.so.1")
+        except OSError:
+            gomp = None
+        previous = gomp.omp_get_max_threads() if gomp is not None else None
+        if gomp is not None:
+            gomp.omp_set_num_threads(2)
+        try:
+            PLRSolver(recurrence, backend="native", native_fallback=False).solve(values)
+            single = PLRSolver(recurrence)
+            plan = single.plan_for(values.size)
+            table = single.factor_table(plan, np.dtype(np.int32))
+            padded = np.zeros(plan.padded_n, dtype=np.int32)
+            padded[: values.size] = values
+            got = solve_sharded(
+                padded,
+                table,
+                plan.values_per_thread,
+                options=ShardOptions(workers=2, timeout_s=60.0),
+            )
+        finally:
+            if gomp is not None:
+                gomp.omp_set_num_threads(previous)
+        expected = phase2(phase1(padded, table, plan.values_per_thread), table)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestDegradation:
@@ -267,6 +417,15 @@ class TestDegradation:
         np.testing.assert_array_equal(
             report.output, PLRSolver("(3: 1, 1, 1)").solve(values)
         )
+
+    def test_batch_solver_degrades_to_numpy(self, monkeypatch, rng):
+        self._hide_compiler(monkeypatch)
+        values = rng.integers(-9, 9, size=(5, 3000)).astype(np.int32)
+        fallbacks = global_metrics().counter("native.fallbacks")
+        before = fallbacks.value
+        got = BatchSolver("(3: 1, 1, 1)", backend="native").solve(values)
+        assert fallbacks.value == before + 1
+        np.testing.assert_array_equal(got, BatchSolver("(3: 1, 1, 1)").solve(values))
 
     def test_native_available_reflects_probe(self, monkeypatch):
         assert native_available()

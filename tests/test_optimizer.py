@@ -165,3 +165,37 @@ def test_default_config_is_all_paper_optimizations():
     assert config.fold_repeats
     assert config.truncate_decayed
     assert not config.suppress_shifted_duplicate  # future work: opt-in
+
+
+class TestPlanMemo:
+    """The Section 3.1 analysis runs once per table, not once per solve."""
+
+    def test_second_solve_skips_the_analysis(self, monkeypatch, rng):
+        from repro.plr.solver import PLRSolver
+
+        solver = PLRSolver("(1: 2, -1)")
+        values = rng.integers(-40, 40, 3000).astype(np.int32)
+        _, first = solver.solve_with_artifacts(values)
+        calls = []
+        period = CorrectionFactorTable.period
+
+        def counting_period(self, carry_index):
+            calls.append(carry_index)
+            return period(self, carry_index)
+
+        monkeypatch.setattr(CorrectionFactorTable, "period", counting_period)
+        _, second = solver.solve_with_artifacts(values)
+        assert second.table is first.table
+        assert calls == []
+        assert second.factor_plan is first.factor_plan
+
+    def test_plan_is_memoized_per_config(self):
+        table = CorrectionFactorTable.build(
+            Signature.parse("(1: 0, 1)").recursive_part(), 64, np.int32
+        )
+        plan = optimize_factors(table)
+        assert optimize_factors(table, OptimizationConfig()) is plan
+        disabled = optimize_factors(table, OptimizationConfig.disabled())
+        assert disabled is not plan
+        assert disabled.config == OptimizationConfig.disabled()
+        assert optimize_factors(table, OptimizationConfig.disabled()) is disabled
