@@ -29,7 +29,7 @@ from repro.core.recurrence import Recurrence
 from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.obs.tracer import NULL_TRACER
-from repro.plr.phase1 import check_integer_coefficients, phase1
+from repro.plr.phase1 import check_integer_coefficients, phase1_inplace
 from repro.plr.phase2 import phase2
 from repro.plr.planner import ExecutionPlan, plan_execution
 from repro.plr.solver import cached_factor_table
@@ -113,9 +113,12 @@ def solve_batch(
 
     # Phase 1 treats every (row, chunk) pair as an independent chunk;
     # Phase 2 runs its carry spine once, vectorized across all rows.
-    # `padded` is a fresh local buffer, so Phase 2 corrects the Phase 1
-    # result in place — no second (rows * chunks, m) allocation.
-    partial = phase1(padded, table, plan.values_per_thread, tracer=tracer)
+    # `padded` is a fresh local buffer, so both phases work on it in
+    # place — no second (rows * chunks, m) allocation.
+    phase1_inplace(
+        padded.reshape(rows * chunks, m), table, plan.values_per_thread, tracer=tracer
+    )
+    partial = padded.reshape(rows, chunks, m)
     corrected = phase2(partial, table, tracer=tracer, out=partial)
     return corrected.reshape(rows, chunks * m)[:, :n]
 

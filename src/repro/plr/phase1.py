@@ -124,6 +124,22 @@ def doubling_widths(x: int, chunk_size: int) -> list[int]:
     return widths
 
 
+_CACHE_BLOCK_BYTES = 1 << 20
+"""Working-set budget for the host's cache-blocked loops.
+
+Phase 1 runs its whole doubling hierarchy on one group of chunk rows of
+at most this many bytes before moving to the next group, and Phase 2's
+blocked carry-product matmul (:func:`repro.plr.phase2.add_carry_products`)
+bounds its scratch by the same figure.  1 MiB sits inside a per-core
+L2, so every merge level after the first reads data the previous level
+left in cache."""
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each that fit one cache block (at least 1)."""
+    return max(1, _CACHE_BLOCK_BYTES // max(1, row_bytes))
+
+
 def phase1_inplace(
     work: np.ndarray,
     table: CorrectionFactorTable,
@@ -133,12 +149,27 @@ def phase1_inplace(
     """Run Phase 1 over a ``(num_chunks, m)`` chunk matrix, in place.
 
     The zero-copy core shared by :func:`phase1` (which copies first to
-    keep its input pristine) and the multicore backend
-    (:mod:`repro.parallel`), whose workers call this directly on their
-    shared-memory slab views — each chunk row is independent, so any
-    contiguous row range is a valid unit of work.  ``work`` must be a
-    C-contiguous 2D buffer whose row length equals the table's chunk
-    size; it is overwritten with the locally correct partial result.
+    keep its input pristine), the solvers that own a private padded
+    buffer, and the multicore backend (:mod:`repro.parallel`), whose
+    workers call this directly on their shared-memory slab views.
+    ``work`` must be a C-contiguous 2D buffer whose row length equals
+    the table's chunk size; it is overwritten with the locally correct
+    partial result.
+
+    Each chunk row is independent, so any contiguous row range is a
+    valid unit of work.  The rows are processed in contiguous groups of
+    at most :data:`_CACHE_BLOCK_BYTES`, and each group runs the whole
+    sequence (thread-local solve, then every merge level) before the
+    next group starts.  This is the host's analogue of a thread block
+    merging its chunk in shared memory: a group stays in L2 across all
+    of its levels instead of every level streaming the whole matrix.
+    The per-element arithmetic is unchanged, so the output is
+    byte-for-byte identical to one ungrouped sweep for every dtype; a
+    matrix that fits one group runs the loop exactly once.
+
+    With an enabled ``tracer`` every group emits one ``phase1_block``
+    span (args ``first_chunk``, ``rows``) with its
+    ``thread_local_solve`` and ``merge_level`` spans nested inside.
     """
     m = table.chunk_size
     if work.ndim != 2 or work.shape[1] != m:
@@ -148,6 +179,28 @@ def phase1_inplace(
     feedback = [
         b if isinstance(b, int) else float(b) for b in table.signature.feedback
     ]
+    widths = doubling_widths(x, m)
+    rows = _block_rows(m * work.dtype.itemsize)
+    for first in range(0, work.shape[0], rows):
+        group = work[first : first + rows]
+        with tracer.span(
+            "phase1_block",
+            cat="phase1",
+            args={"first_chunk": first, "rows": group.shape[0]} if tracer.enabled else None,
+        ):
+            _phase1_group(group, table, feedback, x, widths, tracer)
+
+
+def _phase1_group(
+    work: np.ndarray,
+    table: CorrectionFactorTable,
+    feedback: list,
+    x: int,
+    widths: list[int],
+    tracer,
+) -> None:
+    """The thread-local solve and every merge level over one row group."""
+    m = table.chunk_size
     num_chunks = work.shape[0]
 
     if x > 1:
@@ -157,7 +210,7 @@ def phase1_inplace(
         ):
             thread_local_solve(thread_view, feedback, x)
 
-    for width in doubling_widths(x, m):
+    for width in widths:
         pairs = num_chunks * (m // (2 * width))
         pair_view = work.reshape(pairs, 2 * width)
         if tracer.enabled:
@@ -189,10 +242,12 @@ def phase1(
     axis — the per-chunk arithmetic is bit-identical to B separate 1D
     calls, with the Python-level dispatch paid once.
 
-    With an enabled ``tracer``, the thread-local solve and every
-    merge-doubling level emit one span each (cat ``phase1``), recording
-    the pair width and how many pairs merged — the numpy mirror of the
-    simulator's per-block ``merge`` events.
+    With an enabled ``tracer``, every cache-sized group of chunks
+    (:func:`phase1_inplace`) emits a ``phase1_block`` span, and inside
+    it the thread-local solve and every merge-doubling level emit one
+    span each (cat ``phase1``), recording the pair width and how many
+    pairs merged — the numpy mirror of the simulator's per-block
+    ``merge`` events.
     """
     m = table.chunk_size
     if padded.ndim not in (1, 2):

@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.nnacci import carry_transition_matrix
 from repro.obs.tracer import NULL_TRACER, TracePid
 from repro.plr.factors import CorrectionFactorTable
+from repro.plr.phase1 import _block_rows
 
 __all__ = [
     "transition_matrix",
@@ -139,15 +140,6 @@ def lookback_combine(
     return carries
 
 
-_CORRECTION_BLOCK_BYTES = 1 << 20
-"""Scratch budget for the blocked carry-product matmul.
-
-Bounds the temporary :func:`add_carry_products` allocates to ~1 MiB no
-matter how large the partial result is, so the in-place correction path
-never re-creates the second ``(chunks, m)`` array it exists to avoid
-(pinned by the tracemalloc regression test)."""
-
-
 def add_carry_products(
     target: np.ndarray, prev: np.ndarray, factors: np.ndarray
 ) -> None:
@@ -157,24 +149,34 @@ def add_carry_products(
     (..., C, k) carries feeding them, and ``factors`` the k-by-m table —
     one matmul fuses the k-carry correction loop.  Work is blocked along
     the chunk axis so the matmul scratch stays under
-    :data:`_CORRECTION_BLOCK_BYTES` instead of materializing a full
-    (..., C, m) product.  For k = 1 and for integer dtypes the result is
-    bit-identical to the per-carry loop (one product per element, and
-    wraparound integer arithmetic is exact); float k > 1 sums the carry
-    terms in matmul order, within normal rounding of the loop order.
+    :data:`repro.plr.phase1._CACHE_BLOCK_BYTES` (~1 MiB, the same block
+    Phase 1 groups its chunks by) instead of materializing a full
+    (..., C, m) product, so the in-place correction path never
+    re-creates the second ``(chunks, m)`` array it exists to avoid
+    (pinned by the tracemalloc regression test).  For k = 1 and for
+    integer dtypes the result is bit-identical to the per-carry loop
+    (one product per element, and wraparound integer arithmetic is
+    exact); float k > 1 sums the carry terms in matmul order, within
+    normal rounding of the loop order, and the same way for any block
+    budget.
     """
     num_rows = target.shape[-2]
     if num_rows == 0:
         return
     m = target.shape[-1]
     leading = int(np.prod(target.shape[:-2], dtype=np.int64))
-    row_bytes = max(1, leading * m * target.dtype.itemsize)
-    block = max(1, _CORRECTION_BLOCK_BYTES // row_bytes)
+    # A one-row matmul takes BLAS's matrix-vector path, which rounds
+    # float sums differently from the matrix-matrix path.  Keep every
+    # block at two rows or more (a lone tail row joins the block before
+    # it), so the result never depends on the block budget.
+    block = max(2, _block_rows(leading * m * target.dtype.itemsize))
+    starts = list(range(0, num_rows, block))
+    if len(starts) > 1 and num_rows - starts[-1] == 1:
+        starts.pop()
     scratch = np.empty(
-        target.shape[:-2] + (min(block, num_rows), m), dtype=target.dtype
+        target.shape[:-2] + (min(block + 1, num_rows), m), dtype=target.dtype
     )
-    for start in range(0, num_rows, block):
-        stop = min(start + block, num_rows)
+    for start, stop in zip(starts, starts[1:] + [num_rows]):
         view = scratch[..., : stop - start, :]
         np.matmul(prev[..., start:stop, :], factors, out=view)
         target[..., start:stop, :] += view

@@ -33,7 +33,7 @@ from repro.obs.tracer import coerce_tracer
 from repro.plr.factors import CorrectionFactorTable
 from repro.plr.optimizer import FactorPlan, OptimizationConfig, optimize_factors
 from repro.parallel.sharding import ShardOptions, check_pool_backend
-from repro.plr.phase1 import check_integer_coefficients, phase1
+from repro.plr.phase1 import check_integer_coefficients, phase1_inplace
 from repro.plr.phase2 import phase2
 from repro.plr.planner import ExecutionPlan, plan_execution
 
@@ -443,7 +443,12 @@ class PLRSolver:
                 args={"chunks": padded_n // plan.chunk_size} if tracer.enabled else None,
                 link=link(),
             ):
-                partial = phase1(padded, table, plan.values_per_thread, tracer=tracer)
+                partial = padded.reshape(-1, plan.chunk_size)
+                if padded is values:
+                    # No pad, cast or map stage made a private buffer:
+                    # this is the caller's array, so work on a copy.
+                    partial = partial.copy()
+                phase1_inplace(partial, table, plan.values_per_thread, tracer=tracer)
             with tracer.span("phase2", cat="solver", link=link()):
                 # Correct the Phase 1 buffer in place unless the caller
                 # asked for the pristine partial result.

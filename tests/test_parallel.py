@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.coefficients import table1_signatures
 from repro.core.errors import WorkerError
 from repro.core.recurrence import Recurrence
 from repro.core.reference import serial_full
@@ -38,6 +39,16 @@ from repro.plr.phase2 import LOOKBACK_SUMMARY_THRESHOLD
 from repro.plr.solver import PLRSolver
 from repro.batch.solver import BatchSolver
 from repro.resilience.solver import ResilientSolver
+
+from tests.conftest import TABLE1_NAMES
+from tests.test_phase1_groups import (
+    DTYPES,
+    GROUP_ROWS,
+    force_group_rows,
+    supported,
+    sweep_lengths,
+    sweep_values,
+)
 
 
 def small_plan(solver: PLRSolver, n: int, chunk: int = 64):
@@ -298,6 +309,53 @@ class TestBatchSharding:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             BatchSolver("(1: 1)", backend="gpu")
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("name", TABLE1_NAMES)
+def test_grouped_slabs_match_ungrouped(name, dtype, monkeypatch):
+    """Stage-A and batch workers run the cache-blocked Phase 1 on slabs.
+
+    Groups of 1, 2 and 3 chunk rows (the forked workers inherit the
+    shrunken budget) over the Table 1 × dtype sweep, at the edge
+    lengths that span two or more chunks (m+1 and 3m+7).  Shorter 1D
+    inputs run inline: the same ``phase1_inplace`` call that
+    ``tests/test_phase1_groups.py`` sweeps on the single backend.
+
+    Integers stay bit-identical to the ungrouped single-process solve.
+    Floats are compared with the library tolerance against the
+    ungrouped process solve: the pool reassociates float carry
+    arithmetic, so for a float32 cubic sum the single backend is not a
+    reference within tolerance.
+    """
+    recurrence = Recurrence(table1_signatures()[name])
+    if not supported(recurrence, dtype):
+        pytest.skip("fractional coefficients in integer arithmetic")
+    exact = np.issubdtype(np.dtype(dtype), np.integer)
+    backend = "single" if exact else "process"
+    workers = None if exact else 2
+    reference = PLRSolver(recurrence, backend=backend, workers=workers)
+    reference_batch = BatchSolver(recurrence, backend=backend, workers=workers)
+    sharded = PLRSolver(recurrence, backend="process", workers=2)
+    sharded_batch = BatchSolver(recurrence, backend="process", workers=2)
+    m = sharded.plan_for(1).chunk_size
+    for n in (n for n in sweep_lengths(recurrence.order, m) if n > m):
+        row = sweep_values(n, dtype, seed=n)
+        stack = sweep_values(n, dtype, seed=n + 3, rows=3)
+        force_group_rows(monkeypatch, None, m, dtype)
+        want_row = reference.solve(row, dtype=dtype)
+        want_stack = reference_batch.solve(stack, dtype=dtype)
+        for rows in GROUP_ROWS:
+            force_group_rows(monkeypatch, rows, m, dtype)
+            for got, want in (
+                (sharded.solve(row, dtype=dtype), want_row),
+                (sharded_batch.solve(stack, dtype=dtype), want_stack),
+            ):
+                assert got.dtype == want.dtype
+                if exact:
+                    assert np.array_equal(got, want), f"n={n} rows={rows}"
+                else:
+                    assert compare_results(got, want).ok, f"n={n} rows={rows}"
 
 
 @settings(
