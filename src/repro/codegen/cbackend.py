@@ -9,7 +9,7 @@ emits C99 implementing the identical algorithm —
 * the same Phase 1 doubling with the same correction factors, realized
   per the same optimizer decisions (constants folded, periodic lists
   indexed modulo their period, decayed tails suppressed, 0/1 factors as
-  conditional adds),
+  branch-free selects),
 * the same carry-transition propagation and final correction
 
 — parallelized with OpenMP across chunks.  The decoupled-lookback
@@ -18,6 +18,14 @@ carry propagation and the bulk correction, which is the natural shape
 for a CPU with a handful of cores (the carry spine is O(chunks * k^2)
 and not worth pipelining there); the protocol itself is exercised by
 :mod:`repro.gpusim.executor`.
+
+The body is shaped for a CPU.  Serial solves keep their last k outputs
+in registers.  Chunks are solved from the input straight into the
+caller's output, the carry spine reads each chunk's carries back from
+there, and the bulk correction adds them in place up to the last
+nonzero correction factor.  The kernel reads its input once and writes
+its output once, and reads and writes again only the corrected prefix
+of each chunk; it keeps no work buffer.
 
 The emitted source is compiled with the system C compiler into a shared
 object and loaded through ctypes, giving a genuine
@@ -112,7 +120,12 @@ def _factor_function(ir: KernelIR, j: int) -> str:
 
 
 def _correction_statement(ir: KernelIR, j: int, offset: str, carry: str) -> str:
-    """One carry's contribution, honoring the zero/one optimization."""
+    """One carry's contribution, honoring the zero/one optimization.
+
+    A 0/1 factor is a branch-free select.  ``acc`` starts at +0 and an
+    IEEE sum is -0 only when both terms are, so adding a literal 0 where
+    the factor is 0 leaves ``acc`` bit-for-bit as skipping the add would.
+    """
     decision = ir.factor_plan.decisions[j]
     if decision.realization == FactorRealization.CONSTANT:
         const = decision.constant
@@ -128,17 +141,77 @@ def _correction_statement(ir: KernelIR, j: int, offset: str, carry: str) -> str:
         and ir.table.is_zero_one(j)
     )
     if zero_one:
-        return f"if ({factor}) acc += {carry};"
+        return f"acc += {factor} ? {carry} : {ir.literal(0)};"
     return f"acc += {factor} * {carry};"
 
 
+def _solve_function(ir: KernelIR) -> str:
+    """``plr_solve``: the serial solve of every width-x cell of a chunk.
+
+    It reads ``src`` and writes ``vals`` (which may be the same buffer).
+    Each cell keeps its last k outputs in the scalars ``y1`` (one back)
+    to ``yk``; the first k elements are peeled, each with only the terms
+    that exist inside the cell, so the steady-state loop has no guards.
+    """
+    k, x = ir.order, ir.plan.values_per_thread
+    fb = ir.feedback_literals()
+    ctype = ir.c_type
+
+    def step(index: str, terms: int) -> str:
+        body = [f"{ctype} acc = s[{index}];"]
+        body += [f"acc += {fb[j - 1]} * y{j};" for j in range(1, terms + 1)]
+        body.append(f"d[{index}] = acc;")
+        body += [f"y{j} = y{j - 1};" for j in range(min(terms + 1, k), 1, -1)]
+        body.append("y1 = acc;")
+        return "{ " + " ".join(body) + " }"
+
+    lines = [f"{ctype} " + ", ".join(f"y{j}" for j in range(1, k + 1)) + ";"]
+    lines += [step(str(t), t) for t in range(min(k, x))]
+    if x > k:
+        lines.append(f"for (long long i = {k}; i < PLR_X; i++)")
+        lines.append("    " + step("i", k))
+    return f"""\
+static void plr_solve(const {ctype} *src, {ctype} *vals) {{
+    for (long long lo = 0; lo < PLR_M; lo += PLR_X) {{
+        const {ctype} *s = src + lo;
+        {ctype} *d = vals + lo;
+{_indent(lines, 8)}
+    }}
+}}"""
+
+
+def _indent(lines: list[str], depth: int) -> str:
+    return "\n".join(" " * depth + line for line in lines)
+
+
 def emit_c(ir: KernelIR) -> str:
-    """Emit the complete C99 translation unit for one kernel plan."""
+    """Emit the complete C99 translation unit for one kernel plan.
+
+    One body serves both plan shapes: the native backend's one serial
+    cell per chunk (``x == m``) and the paper's ``x < m`` cells merged
+    by doubling.  Full chunks are solved from ``input`` straight into
+    ``output``; only a row's partial last chunk goes through one
+    zero-padded m-element scratch per thread.  The carry spine reads
+    each chunk's local carries back from ``output``, and the bulk
+    correction adds the hoisted carries in place, up to the optimizer's
+    ``phase1_active_elements``, past which every factor is zero (the
+    ``TRUNCATED`` cutoffs; a constant-0 carry adds nothing anywhere).
+
+    Each element's arithmetic is fixed by the plan alone: its local
+    solve, then its corrections in carry order.  Threads and batch size
+    change only which core does it, so integer results are exact and
+    float results reproducible.  Past the last nonzero factor
+    the correction is skipped rather than adding zero, so a local
+    result of -0.0 there stays -0.0.  ``plr_compute_batch`` returns 0,
+    or 1 when a ``malloc`` failed.
+    """
     ctype = ir.c_type
     k = ir.order
+    m = ir.chunk_size
     x = ir.plan.values_per_thread
     sig = ir.recurrence.signature
     active = ir.factor_plan.phase1_active_elements
+    zero = ir.literal(0)
 
     factor_functions = [
         f"static inline {ctype} plr_factor_0(long long i);"
@@ -156,165 +229,193 @@ def emit_c(ir: KernelIR) -> str:
         "{" + ", ".join(ir.literal(v) for v in matrix[r]) + "}" for r in range(k)
     )
 
-    map_stage_lines = []
     if ir.recurrence.has_map_stage:
         ff = ir.feedforward_literals()
-        map_stage_lines.append(
-            f"        {ctype} acc = {ff[0]} * ((gpos < n) ? input[gpos] : {ir.literal(0)});"
-        )
+        map_lines = [f"{ctype} acc = {ff[0]} * ((gpos < n) ? input[gpos] : {zero});"]
         for d in range(1, len(ff)):
-            map_stage_lines.append(
-                f"        if (gpos >= {d} && gpos - {d} < n) acc += {ff[d]} * input[gpos - {d}];"
+            map_lines.append(
+                f"if (gpos >= {d} && gpos - {d} < n) acc += {ff[d]} * input[gpos - {d}];"
             )
-        map_stage_lines.append("        chunk_vals[i] = acc;")
+        map_function = f"""
+/* Map stage: vals[i] = sum_d a_d * input[base + i - d], zero outside [0, n). */
+static void plr_map(const {ctype} *input, {ctype} *vals, long long base, long long n) {{
+    for (long long i = 0; i < PLR_M; i++) {{
+        long long gpos = base + i;
+{_indent(map_lines, 8)}
+        vals[i] = acc;
+    }}
+}}
+"""
+        full_solve = "plr_map(in, out, lo, n);\n                plr_solve(out, out);"
+        partial_fill = "plr_map(in, scratch, lo, n);"
     else:
-        map_stage_lines.append(
-            f"        chunk_vals[i] = (gpos < n) ? input[gpos] : {ir.literal(0)};"
+        map_function = ""
+        full_solve = "plr_solve(in + lo, out);"
+        partial_fill = (
+            f"memcpy(scratch, in + lo, (size_t)count * sizeof({ctype}));\n"
+            f"                memset(scratch + count, 0, (size_t)(PLR_M - count) * sizeof({ctype}));"
         )
-    map_stage = "\n".join(map_stage_lines)
 
-    fb = ir.feedback_literals()
-    local_solve = []
-    for j, b in enumerate(fb, start=1):
-        local_solve.append(f"            if (i >= lo + {j}) acc += {b} * chunk_vals[i - {j}];")
-    local_solve_body = "\n".join(local_solve)
+    merge_function = merge_full = merge_scratch = ""
+    if x < m:
+        merge_corrections = _indent(
+            [f"{{ {_correction_statement(ir, j, 'i', f'carry[{j}]')} }}" for j in range(k)],
+            16,
+        )
+        merge_full = "\n                plr_merge(out);"
+        merge_scratch = "\n                plr_merge(scratch);"
+        merge_function = f"""
 
-    merge_corrections = "\n".join(
-        f"                    {{ {_correction_statement(ir, j, 'i', f'carry[{j}]')} }}"
-        for j in range(k)
-    )
-    final_corrections = "\n".join(
-        f"            {{ {_correction_statement(ir, j, 'i', f'prev[{j}]')} }}"
-        for j in range(k)
-    )
+/* Phase 1 doubling merges of one solved chunk: widths PLR_X, 2*PLR_X,
+ * ..., PLR_M/2. */
+static void plr_merge({ctype} *vals) {{
+    for (long long width = PLR_X; width < PLR_M; width <<= 1) {{
+        for (long long border = width; border < PLR_M; border += 2 * width) {{
+            {ctype} carry[PLR_K];
+            for (int j = 0; j < PLR_K; j++)
+                carry[j] = (j < width) ? vals[border - 1 - j] : {zero};
+            long long limit = width < PLR_ACTIVE ? width : PLR_ACTIVE;
+            for (long long i = 0; i < limit; i++) {{
+                {ctype} acc = 0;
+{merge_corrections}
+                vals[border + i] += acc;
+            }}
+        }}
+    }}
+}}"""
 
-    active_guard = (
-        f"                long long limit = width < {active} ? width : {active};"
-        if active < ir.chunk_size
-        else "                long long limit = width;"
+    carries = ", ".join(f"c{j} = g[{j}]" for j in range(k))
+    final_corrections = _indent(
+        [f"{{ {_correction_statement(ir, j, 'i', f'c{j}')} }}" for j in range(k)], 8
     )
 
     return f"""\
 /* Generated by PLR (reproduction, C backend) -- do not edit.
  * Recurrence signature: {sig}
- * order k={k}, chunk m={ir.chunk_size}, x={x}, dtype={ir.dtype}
+ * order k={k}, chunk m={m}, x={x}, dtype={ir.dtype}
  * Factor realizations: {", ".join(d.realization.value for d in ir.factor_plan.decisions)}
  */
 #include <stdlib.h>
 #include <string.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #define PLR_K {k}
-#define PLR_M {ir.chunk_size}
+#define PLR_M {m}
 #define PLR_X {x}
+/* Every correction factor is zero from this offset on. */
+#define PLR_ACTIVE {active}
 
 {chr(10).join(f for f in factor_functions if f)}
 static const {ctype} plr_carry_matrix[PLR_K][PLR_K] = {{ {matrix_rows} }};
+{map_function}
+/* Phase 1 serial solve of one chunk's cells, in registers. */
+{_solve_function(ir)}{merge_function}
 
-/* Phase 1 for one chunk: thread-local solve then pairwise doubling. */
-static void plr_phase1_chunk(const {ctype} *input, {ctype} *chunk_vals,
-                             long long base, long long n) {{
-    for (long long i = 0; i < PLR_M; i++) {{
-        long long gpos = base + i;
-{map_stage}
+/* Phase 2 for one chunk: add the previous chunk's global carries g to
+ * the first len elements, in place. */
+static void plr_correct({ctype} *vals, const {ctype} *g, long long len) {{
+    const {ctype} {carries};
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+    for (long long i = 0; i < len; i++) {{
+        {ctype} acc = 0;
+{final_corrections}
+        vals[i] += acc;
     }}
-    /* thread-local serial solve over each width-PLR_X cell */
-    for (long long lo = 0; lo < PLR_M; lo += PLR_X) {{
-        for (long long i = lo + 1; i < lo + PLR_X; i++) {{
-            {ctype} acc = chunk_vals[i];
-{local_solve_body}
-            chunk_vals[i] = acc;
+}}
+
+/* rows independent sequences of length n, stored row-major; input and
+ * output must not overlap.  Every row is cut into the same chunks and
+ * runs the same per-chunk code and the same spine as a one-row call,
+ * so each output row is bit-identical to plr_compute on that row
+ * alone.  Returns 0, or 1 when working memory could not be allocated. */
+int plr_compute_batch(const {ctype} *input, {ctype} *output,
+                      long long rows, long long n) {{
+    if (rows <= 0 || n <= 0) return 0;
+    long long chunks = (n + PLR_M - 1) / PLR_M;
+    long long pairs = rows * chunks;
+    /* Global carries of every chunk but a row's last, which nothing reads. */
+    {ctype} *global = 0;
+    if (chunks > 1) {{
+        global = ({ctype} *)malloc((size_t)(rows * (chunks - 1) * PLR_K) * sizeof({ctype}));
+        if (!global) return 1;
+    }}
+    int failed = 0;
+
+#ifdef _OPENMP
+#pragma omp parallel if (pairs > 1)
+#endif
+    {{
+        {ctype} *scratch = 0;
+
+        /* Phase 1 over all (row, chunk) pairs, full chunks straight
+         * into output. */
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+        for (long long p = 0; p < pairs; p++) {{
+            long long r = p / chunks, lo = (p % chunks) * PLR_M;
+            const {ctype} *in = input + r * n;
+            {ctype} *out = output + r * n + lo;
+            if (lo + PLR_M <= n) {{
+                {full_solve}{merge_full}
+            }} else {{
+                long long count = n - lo;
+                if (!scratch) scratch = ({ctype} *)malloc(PLR_M * sizeof({ctype}));
+                if (!scratch) {{
+#ifdef _OPENMP
+#pragma omp atomic write
+#endif
+                    failed = 1;
+                    continue;
+                }}
+                {partial_fill}
+                plr_solve(scratch, scratch);{merge_scratch}
+                memcpy(out, scratch, (size_t)count * sizeof({ctype}));
+            }}
         }}
-    }}
-    /* doubling merges: widths PLR_X, 2*PLR_X, ..., PLR_M/2 */
-    for (long long width = PLR_X; width < PLR_M; width <<= 1) {{
-        for (long long border = width; border < PLR_M; border += 2 * width) {{
-            {ctype} carry[PLR_K];
-            for (int j = 0; j < PLR_K; j++)
-                carry[j] = (j < width) ? chunk_vals[border - 1 - j] : {ir.literal(0)};
-            {{
-{active_guard}
-                for (long long i = 0; i < limit; i++) {{
-                    {ctype} acc = 0;
-{merge_corrections}
-                    chunk_vals[border + i] += acc;
+        free(scratch);
+
+        /* Carry spine per row: G_0 = L_0, G_c = L_c + M * G_(c-1), with
+         * L_c read back from chunk c's solved tail.  O(chunks * k^2). */
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+        for (long long r = 0; r < rows; r++) {{
+            const {ctype} *row = output + r * n;
+            {ctype} *g = global + r * (chunks - 1) * PLR_K;
+            for (long long c = 0; c + 1 < chunks; c++) {{
+                const {ctype} *tail = row + c * PLR_M + PLR_M - 1;
+                for (int q = 0; q < PLR_K; q++) {{
+                    {ctype} acc = tail[-q];
+                    if (c > 0)
+                        for (int j = 0; j < PLR_K; j++)
+                            acc += plr_carry_matrix[q][j] * g[(c - 1) * PLR_K + j];
+                    g[c * PLR_K + q] = acc;
                 }}
             }}
         }}
-    }}
-}}
 
-/* rows independent sequences of length n, stored row-major.  Every
- * row is cut into the same chunks and runs the same per-chunk code and
- * the same spine as a one-row call, so each output row is bit-identical
- * to plr_compute on that row alone. */
-void plr_compute_batch(const {ctype} *input, {ctype} *output,
-                       long long rows, long long n) {{
-    if (rows <= 0 || n <= 0) return;
-    long long chunks = (n + PLR_M - 1) / PLR_M;
-    long long pairs = rows * chunks;
-    {ctype} *work = ({ctype} *)malloc((size_t)pairs * PLR_M * sizeof({ctype}));
-    {ctype} *local = ({ctype} *)malloc((size_t)pairs * PLR_K * sizeof({ctype}));
-    {ctype} *global = ({ctype} *)malloc((size_t)pairs * PLR_K * sizeof({ctype}));
-
-    /* Phase 1 over all (row, chunk) pairs (embarrassingly parallel). */
+        /* Phase 2 bulk correction over all pairs, in place. */
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp for schedule(static)
 #endif
-    for (long long p = 0; p < pairs; p++) {{
-        long long r = p / chunks, c = p % chunks;
-        plr_phase1_chunk(input + r * n, work + p * PLR_M, c * PLR_M, n);
-        for (int j = 0; j < PLR_K; j++)
-            local[p * PLR_K + j] = work[p * PLR_M + PLR_M - 1 - j];
-    }}
-
-    /* Carry spine per row: G_c = L_c + M * G_(c-1).  O(chunks * k^2). */
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (rows > 1)
-#endif
-    for (long long r = 0; r < rows; r++) {{
-        const {ctype} *lrow = local + r * chunks * PLR_K;
-        {ctype} *grow = global + r * chunks * PLR_K;
-        for (int j = 0; j < PLR_K; j++) grow[j] = lrow[j];
-        for (long long c = 1; c < chunks; c++) {{
-            for (int q = 0; q < PLR_K; q++) {{
-                {ctype} acc = lrow[c * PLR_K + q];
-                for (int j = 0; j < PLR_K; j++)
-                    acc += plr_carry_matrix[q][j] * grow[(c - 1) * PLR_K + j];
-                grow[c * PLR_K + q] = acc;
-            }}
+        for (long long p = 0; p < pairs; p++) {{
+            long long r = p / chunks, c = p % chunks;
+            if (c == 0) continue;
+            long long count = n - c * PLR_M;
+            plr_correct(output + r * n + c * PLR_M,
+                        global + (r * (chunks - 1) + c - 1) * PLR_K,
+                        count < PLR_ACTIVE ? count : PLR_ACTIVE);
         }}
     }}
 
-    /* Phase 2 bulk correction over all pairs (embarrassingly parallel). */
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (long long p = 0; p < pairs; p++) {{
-        long long r = p / chunks, c = p % chunks;
-        const {ctype} *prev = (c > 0) ? global + (p - 1) * PLR_K : 0;
-        {ctype} *chunk_vals = work + p * PLR_M;
-        if (prev) {{
-            for (long long i = 0; i < PLR_M; i++) {{
-                {ctype} acc = 0;
-{final_corrections}
-                chunk_vals[i] += acc;
-            }}
-        }}
-        long long lo = c * PLR_M;
-        long long count = (lo + PLR_M <= n) ? PLR_M : (n - lo);
-        memcpy(output + r * n + lo, chunk_vals, (size_t)count * sizeof({ctype}));
-    }}
-
-    free(work);
-    free(local);
     free(global);
+    return failed;
 }}
 
-void plr_compute(const {ctype} *input, {ctype} *output, long long n) {{
-    plr_compute_batch(input, output, 1, n);
+int plr_compute(const {ctype} *input, {ctype} *output, long long n) {{
+    return plr_compute_batch(input, output, 1, n);
 }}
 """
 
@@ -353,10 +454,15 @@ class CompiledCKernel:
                 "native kernel expects a non-empty array (length-0 inputs "
                 "are handled by the numpy path before reaching a kernel)"
             )
+        self.ir.check_input_dtype(values.dtype)
         values = np.ascontiguousarray(values, dtype=self.ir.dtype)
         out = np.empty_like(values)
         rows, n = values.shape
-        self._lib.plr_compute_batch(values.ctypes.data, out.ctypes.data, rows, n)
+        if self._lib.plr_compute_batch(values.ctypes.data, out.ctypes.data, rows, n):
+            raise BackendError(
+                f"native kernel could not allocate working memory for a "
+                f"({rows}, {n}) batch"
+            )
         return out
 
 
@@ -479,7 +585,7 @@ def load_kernel_library(so_path: str | os.PathLike) -> ctypes.CDLL:
             raise BackendError(
                 f"native kernel {so_path} does not export the {name!r} symbol"
             ) from None
-        entry.restype = None
+        entry.restype = ctypes.c_int
         entry.argtypes = argtypes
     return lib
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import CodegenError
+from repro.core.errors import CodegenError, NumericalError
 from repro.core.recurrence import Recurrence
 from repro.gpusim.spec import MachineSpec
 from repro.plr.factors import CorrectionFactorTable
@@ -63,6 +63,22 @@ class KernelIR:
     @property
     def is_integer(self) -> bool:
         return np.issubdtype(self.dtype, np.integer)
+
+    def check_input_dtype(self, dtype) -> None:
+        """Refuse input the kernel's dtype would change in kind.
+
+        A generated kernel computes in one fixed dtype, so float input
+        to an integer kernel would be truncated to integers without any
+        error.  Casts within a kind stay allowed: int64 input to an
+        int32 kernel wraps around the paper's integer ring, as in
+        ``PLRSolver``.  Raises :class:`~repro.core.errors.NumericalError`.
+        """
+        if not np.can_cast(dtype, self.dtype, casting="same_kind"):
+            raise NumericalError(
+                f"a {self.dtype.name} kernel cannot take {np.dtype(dtype).name} "
+                f"input without truncating it; compile the kernel for a "
+                f"{np.dtype(dtype).name}-compatible dtype instead"
+            )
 
     def feedforward_literals(self) -> list[str]:
         return [self.literal(a) for a in self.recurrence.signature.feedforward]

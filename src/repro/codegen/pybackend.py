@@ -198,6 +198,8 @@ class CompiledPythonKernel:
     compute: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        self.ir.check_input_dtype(values.dtype)
         return self.compute(values)
 
 

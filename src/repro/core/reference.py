@@ -59,24 +59,54 @@ def fir_map(values: np.ndarray, feedforward: Sequence[float]) -> np.ndarray:
     is computed with shifted vector adds along the last axis, so a
     ``(B, n)`` stack maps every row independently — each row
     bit-identical to mapping it alone.
+
+    Every element is ``((0 + a_0 x[i]) + a_1 x[i-1]) + ...``, signed
+    zeros included.  An input larger than the host's cache block
+    (:data:`repro.plr.phase1._CACHE_BLOCK_BYTES`) is mapped in tiles of
+    rows or columns whose working set (input slice, product scratch,
+    output slice) fits that block, through one reused product scratch
+    instead of a full-size temporary per tap; the sums are the same.
     """
+    from repro.plr.phase1 import _CACHE_BLOCK_BYTES as budget  # cycle: plr imports core
+
     values = np.asarray(values)
-    out = np.zeros_like(values)
-    for j, a in enumerate(feedforward):
-        if a == 0:
-            continue
-        if j == 0:
-            out += _scaled(values, a)
-        else:
-            out[..., j:] += _scaled(values[..., :-j], a)
+    taps = [(j, _coefficient(values.dtype, a)) for j, a in enumerate(feedforward) if a != 0]
+    if values.nbytes <= budget:
+        out = np.zeros_like(values)
+        for j, coeff in taps:
+            if j == 0:
+                out += values * coeff
+            else:
+                out[..., j:] += values[..., :-j] * coeff
+        return out
+
+    n = values.shape[-1]
+    rows = values.reshape(-1, n)
+    out = np.zeros(values.shape, dtype=values.dtype)
+    out_rows = out.reshape(-1, n)
+    tile = max(1, budget // (3 * values.itemsize))
+    col_block = min(n, tile)
+    row_block = max(1, tile // col_block)
+    scratch = np.empty((row_block, col_block), dtype=values.dtype)
+    for r0 in range(0, rows.shape[0], row_block):
+        r1 = min(r0 + row_block, rows.shape[0])
+        for c0 in range(0, n, col_block):
+            c1 = min(c0 + col_block, n)
+            for j, coeff in taps:
+                lo = max(c0, j)
+                if lo >= c1:
+                    continue
+                product = scratch[: r1 - r0, : c1 - lo]
+                np.multiply(rows[r0:r1, lo - j : c1 - j], coeff, out=product)
+                out_rows[r0:r1, lo:c1] += product
     return out
 
 
-def _scaled(values: np.ndarray, coeff: float) -> np.ndarray:
-    """values * coeff without promoting integer arrays to float."""
-    if np.issubdtype(values.dtype, np.integer):
-        return values * np.asarray(coeff, dtype=values.dtype)
-    return values * values.dtype.type(coeff)
+def _coefficient(dtype: np.dtype, coeff: float):
+    """coeff as a scalar of ``dtype``, so integer arrays stay integer."""
+    if np.issubdtype(dtype, np.integer):
+        return np.asarray(coeff, dtype=dtype)
+    return dtype.type(coeff)
 
 
 def serial_recurrence(values: np.ndarray, feedback: Sequence[float]) -> np.ndarray:

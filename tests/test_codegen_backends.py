@@ -8,7 +8,7 @@ from repro.codegen.compiler import PLRCompiler
 from repro.codegen.ir import build_ir
 from repro.codegen.pybackend import compile_python_kernel, emit_python
 from repro.core.coefficients import table1_signatures
-from repro.core.errors import BackendError
+from repro.core.errors import BackendError, NumericalError
 from repro.core.recurrence import Recurrence
 from repro.core.reference import serial_full
 from repro.core.validation import assert_valid
@@ -128,6 +128,30 @@ class TestPythonBackend:
         kernel = compile_python_kernel(build_ir(Recurrence.parse("(1: 1)"), 4096))
         assert kernel.module.M == kernel.ir.chunk_size
         assert kernel.module.K == 1
+
+
+class TestInputDtypeGuard:
+    """A compiled kernel computes in one dtype: input that the cast to it
+    would truncate is a typed error, not a silently different answer."""
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_float_input_to_integer_kernel_raises(self, backend, compiler):
+        kernel = compiler.compile("(1: 1)", backend=backend).kernel
+        with pytest.raises(NumericalError, match="truncat"):
+            kernel(np.array([0.5, 0.5, 0.7]))
+
+    def test_float_batch_to_integer_kernel_raises(self, compiler):
+        kernel = compiler.compile("(1: 1)", backend="c").kernel
+        with pytest.raises(NumericalError, match="truncat"):
+            kernel.batch(np.array([[0.5, 0.5], [1.5, 2.5]], dtype=np.float32))
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_int64_input_wraps_in_the_int32_ring(self, backend, compiler):
+        kernel = compiler.compile("(1: 1)", backend=backend).kernel
+        values = np.array([2**31 - 1, 1, 2**32 + 5], dtype=np.int64)
+        got = kernel(values)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, np.cumsum(values.astype(np.int32), dtype=np.int32))
 
 
 class TestCrossBackendAgreement:

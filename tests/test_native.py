@@ -32,6 +32,7 @@ from repro.codegen.cbackend import (
     kernel_digest,
     load_kernel_library,
 )
+from repro.codegen.compiler import PLRCompiler
 from repro.batch.solver import BatchSolver
 from repro.cli import main
 from repro.codegen.ir import build_ir
@@ -39,6 +40,7 @@ from repro.codegen.jit import clear_native_cache, native_available, solver_kerne
 from repro.core.coefficients import table1_signatures
 from repro.core.errors import BackendError, NumericalError
 from repro.core.recurrence import Recurrence
+from repro.core.reference import serial_full
 from repro.core.validation import assert_valid
 from repro.obs.metrics import global_metrics
 from repro.parallel.backend import solve_sharded
@@ -302,6 +304,114 @@ class TestFusedBatch:
         out = solver.solve(values)
         assert calls == ["plr_compute_batch"]
         np.testing.assert_array_equal(out, BatchSolver(recurrence).solve(values))
+
+
+_PAD = 64
+"""Sentinel elements on each side of a buffer under test."""
+
+
+def _in_sentinel_buffer(count: int, dtype):
+    """A ``count``-element view between two 0xA5-filled pads of ``_PAD``."""
+    itemsize = np.dtype(dtype).itemsize
+    raw = np.full((count + 2 * _PAD) * itemsize, 0xA5, dtype=np.uint8)
+    return raw, raw[_PAD * itemsize : (_PAD + count) * itemsize].view(dtype)
+
+
+class TestDirectOutput:
+    """The kernel solves each chunk straight into ``output``: it writes
+    exactly ``rows * n`` elements there and never writes its input.  A
+    row's partial last chunk goes through a per-thread scratch."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("name", TABLE1_NAMES)
+    def test_no_overrun_and_input_untouched(self, name, dtype):
+        recurrence = Recurrence(table1_signatures()[name])
+        solver = PLRSolver(recurrence)
+        k = recurrence.recursive_signature.order
+        m = solver.plan_for(1).chunk_size
+        generator = np.random.default_rng(len(name))
+        for n in sorted({1, k - 1, m - 1, m, m + 1, 3 * m + 7}):
+            plan = solver.plan_for(max(n, 1))
+            table = cached_factor_table(recurrence.recursive_signature, plan.chunk_size, dtype)
+            kernel = solver_kernel(
+                recurrence.recursive_signature, plan, table, optimize_factors(table)
+            )
+            for rows in (1, 3):
+                raw_in, values = _in_sentinel_buffer(rows * n, dtype)
+                if np.issubdtype(dtype, np.integer):
+                    values[:] = generator.integers(-100, 100, rows * n)
+                else:
+                    values[:] = generator.standard_normal(rows * n)
+                input_before = raw_in.copy()
+                raw_out, out = _in_sentinel_buffer(rows * n, dtype)
+                status = kernel._lib.plr_compute_batch(
+                    values.ctypes.data, out.ctypes.data, rows, n
+                )
+                where = f"{name} {np.dtype(dtype).name} n={n} rows={rows}"
+                assert status == 0, where
+                assert np.array_equal(raw_in, input_before), f"input written: {where}"
+                pad = _PAD * np.dtype(dtype).itemsize
+                assert (raw_out[:pad] == 0xA5).all(), f"wrote before output: {where}"
+                assert (raw_out[len(raw_out) - pad :] == 0xA5).all(), (
+                    f"wrote past output: {where}"
+                )
+                if n:
+                    fresh = kernel.batch(values.reshape(rows, n))
+                    assert out.tobytes() == fresh.tobytes(), where
+
+    def test_allocation_failure_is_a_typed_error(self, monkeypatch):
+        recurrence = Recurrence.parse("(1: 1)")
+        solver = PLRSolver(recurrence)
+        plan = solver.plan_for(4096)
+        table = cached_factor_table(recurrence.recursive_signature, plan.chunk_size, np.int32)
+        kernel = solver_kernel(
+            recurrence.recursive_signature, plan, table, optimize_factors(table)
+        )
+        # Carries for 2^62 elements need petabytes: malloc fails and the
+        # kernel returns 1 before it touches either pointer.
+        assert kernel._lib.plr_compute_batch(None, None, 1, 1 << 62) == 1
+
+        class FailingLibrary:
+            @staticmethod
+            def plr_compute_batch(*args):
+                return 1
+
+        monkeypatch.setattr(kernel, "_lib", FailingLibrary())
+        with pytest.raises(BackendError, match="allocate"):
+            kernel(np.arange(10, dtype=np.int32))
+
+
+class TestPaperShapedKernel:
+    """``PLRCompiler.compile(backend="c")`` runs the paper's plan shape
+    (x < m cells merged by doubling, map stage inside the kernel) through
+    the same emitted body as ``backend="native"``.  Integer signatures
+    run in their integer rings and filters in float: an order-2 sum in
+    float32 is ill-conditioned at these lengths and leaves the 1e-3
+    bound near its zero crossings, whatever the kernel."""
+
+    @pytest.mark.parametrize("name", TABLE1_NAMES)
+    def test_n_edges_match_serial(self, name):
+        recurrence = Recurrence(table1_signatures()[name])
+        if recurrence.is_integer:
+            dtypes = (np.int32, np.int64)
+        else:
+            dtypes = (np.float32, np.float64)
+        generator = np.random.default_rng(len(name))
+        for dtype in dtypes:
+            compiled = PLRCompiler().compile(recurrence, n=1 << 22, backend="c", dtype=dtype)
+            m, k = compiled.ir.chunk_size, compiled.ir.order
+            assert k < compiled.ir.plan.values_per_thread < m
+            for n in sorted({1, max(1, k - 1), m - 1, m, m + 1, 3 * m + 7}):
+                if np.issubdtype(dtype, np.integer):
+                    values = generator.integers(-100, 100, n).astype(dtype)
+                else:
+                    values = generator.standard_normal(n).astype(dtype)
+                expected = serial_full(values, recurrence.signature, dtype=dtype)
+                assert_valid(
+                    compiled.kernel(values),
+                    expected,
+                    context=f"c/{name}/{np.dtype(dtype).name}/n={n}",
+                )
 
 
 class TestNoWorkerPool:

@@ -6,6 +6,8 @@ independent implementation, so agreement here validates our oracle
 before the oracle validates everything else.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -90,6 +92,30 @@ class TestFirMap:
         values = np.array([1, 2], dtype=np.int32)
         out = fir_map(values, [3])
         assert out.dtype == np.int32
+
+    @pytest.mark.parametrize("budget", [8, 100, 4096])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3000,), (3, 7), (5, 900)])
+    def test_blocked_matches_one_shot(self, budget, shape, rng, monkeypatch):
+        """Inputs above the cache block map block by block through one
+        product scratch: byte-identical to the one-shot sums, signed
+        zeros included (``0 + a0 * -0.0`` is +0)."""
+        phase1_module = importlib.import_module("repro.plr.phase1")
+        cases = [
+            ([1, -1], rng.integers(-100, 100, shape).astype(np.int32)),
+            ([3, 0, -2, 5], rng.integers(-100, 100, shape).astype(np.int64)),
+            ([0.9, -0.9], rng.standard_normal(shape).astype(np.float32)),
+            ([0.0, 0.25, -1.5], rng.standard_normal(shape)),
+        ]
+        for feedforward, values in cases:
+            if values.dtype.kind == "f":
+                values.reshape(-1)[::3] = -0.0
+            one_shot = fir_map(values, feedforward)
+            with monkeypatch.context() as patch:
+                patch.setattr(phase1_module, "_CACHE_BLOCK_BYTES", budget)
+                blocked = fir_map(values, feedforward)
+            assert blocked.dtype == one_shot.dtype
+            assert blocked.shape == one_shot.shape
+            assert blocked.tobytes() == one_shot.tobytes()
 
 
 class TestSerialRecurrence:
