@@ -64,8 +64,6 @@ class CorrectionFactorTable:
     contains) values beyond the dtype's finite range.  Integer tables
     never set this: they wrap around like the 32-bit CUDA arithmetic
     they model."""
-    _width_rows: dict = field(default_factory=dict, repr=False, compare=False)
-    """Memoized per-width factor prefixes; see :meth:`rows_for_width`."""
     _factor_plans: dict = field(default_factory=dict, repr=False, compare=False)
     """Memoized optimizer output per :class:`~repro.plr.optimizer.OptimizationConfig`;
     see :func:`~repro.plr.optimizer.optimize_factors`."""
@@ -153,23 +151,6 @@ class CorrectionFactorTable:
         """The factor list for carry ``w[m-1-carry_index]``."""
         return self.factors[carry_index]
 
-    def rows_for_width(self, width: int) -> tuple[np.ndarray, ...]:
-        """The factor prefixes ``factors[j, :width]`` for every carry
-        that exists at this merge width (j < min(k, width)).
-
-        Phase 1's doubling levels consume exactly these prefixes once
-        per level; memoizing them here means ``merge_level`` re-slices
-        nothing on the hot path — repeated solves under one table reuse
-        the same read-only views.
-        """
-        rows = self._width_rows.get(width)
-        if rows is None:
-            rows = tuple(
-                self.factors[j, :width] for j in range(min(self.order, width))
-            )
-            self._width_rows[width] = rows
-        return rows
-
     # ------------------------------------------------------------------
     # Structural analyses feeding the Section 3.1 optimizations
     # ------------------------------------------------------------------
@@ -214,7 +195,9 @@ class CorrectionFactorTable:
         row = self.factors[carry_index]
         m = len(row)
         for p in range(1, min(self.MAX_PERIOD, m // 2) + 1):
-            if np.array_equal(row[p:], row[:-p]):
+            # row[p] == row[0] is necessary; checking it first skips the
+            # O(m) comparison for almost every p of an aperiodic row.
+            if row[p] == row[0] and np.array_equal(row[p:], row[:-p]):
                 return p
         return None
 

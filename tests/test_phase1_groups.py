@@ -21,6 +21,7 @@ from repro.core.recurrence import Recurrence
 from repro.core.signature import Signature
 from repro.obs.tracer import Tracer
 from repro.plr.factors import CorrectionFactorTable
+from repro.plr.optimizer import OptimizationConfig, optimize_factors
 from repro.plr.phase1 import doubling_widths, phase1
 from repro.plr.phase2 import add_carry_products
 from repro.plr.solver import PLRSolver, cached_factor_table
@@ -117,25 +118,36 @@ class TestGroupedEquivalence:
                     )
 
 
+def nested(inner, outer) -> bool:
+    return outer.ts <= inner.ts and inner.ts + inner.dur <= outer.ts + outer.dur
+
+
 class TestGroupedOddShapes:
     def test_thread_local_groups_ragged(self, monkeypatch, rng):
         # x = 3 exercises the thread-local solve inside each group; 7
-        # chunks leave a ragged last group for every forced size.
+        # chunks leave a ragged last group for every forced size.  The
+        # plain merges run it; the default plan runs the integer
+        # (1: 2, -1) as two stride-1 prefix stages per group instead.
         sig = Signature.parse("(1: 2, -1)")
         m, x = 12, 3
         table = CorrectionFactorTable.build(sig, m, np.int64)
         padded = rng.integers(-50, 50, 7 * m).astype(np.int64)
         force_group_rows(monkeypatch, None, m, np.int64)
         want = phase1(padded, table, x)
+        plain = optimize_factors(table, OptimizationConfig.disabled())
+        assert_same_bytes(phase1(padded, table, x, plan=plain), want, "plain vs default")
         for rows in GROUP_ROWS + (4, 6, 7, 8):
             force_group_rows(monkeypatch, rows, m, np.int64)
-            tracer = Tracer()
-            assert_same_bytes(phase1(padded, table, x, tracer=tracer), want, f"rows={rows}")
-            blocks = [e for e in tracer.events if e.name == "phase1_block"]
-            solves = [e for e in tracer.events if e.name == "thread_local_solve"]
-            assert len(blocks) == len(solves) == -(-7 // rows)
-            for block, solve in zip(blocks, solves):
-                assert block.ts <= solve.ts and solve.ts + solve.dur <= block.ts + block.dur
+            for plan, stage, per_block in ((plain, "thread_local_solve", 1), (None, "prefix_stage", 2)):
+                tracer = Tracer()
+                got = phase1(padded, table, x, tracer=tracer, plan=plan)
+                assert_same_bytes(got, want, f"rows={rows} {stage}")
+                blocks = [e for e in tracer.events if e.name == "phase1_block"]
+                stages = [e for e in tracer.events if e.name == stage]
+                assert len(blocks) == -(-7 // rows)
+                assert len(stages) == per_block * len(blocks)
+                for i, event in enumerate(stages):
+                    assert nested(event, blocks[i // per_block])
 
     def test_default_budget_is_one_mebibyte_of_chunks(self):
         # 1 MiB groups: 23 rows at m = 11264 int32, 28 at m = 9216 float32.
@@ -168,24 +180,30 @@ class TestGroupedTrace:
 
     N_CHUNKS = 5
 
-    def _run(self, tracer):
-        solver = PLRSolver("(1: 2, -1)", tracer=tracer)
+    def _run(self, tracer, config=None):
+        solver = PLRSolver("(1: 2, -1)", tracer=tracer, optimization=config)
         n = self.N_CHUNKS * solver.plan_for(1).chunk_size - 3
         values = sweep_values(n, np.int32, seed=11)
         return solver, solver.solve(values)
 
     def test_block_spans_wrap_every_level(self, monkeypatch):
+        # The plain merges emit one span per level; the default plan
+        # runs this integer sum as prefix stages, one span per stride.
+        plain = OptimizationConfig.disabled()
         plan_m = PLRSolver("(1: 2, -1)").plan_for(1).chunk_size
         force_group_rows(monkeypatch, None, plan_m, np.int32)
         ungrouped = Tracer()
-        solver, want = self._run(ungrouped)
+        solver, want = self._run(ungrouped, plain)
 
         force_group_rows(monkeypatch, 2, plan_m, np.int32)
         grouped = Tracer()
-        _, got = self._run(grouped)
-        untraced = self._run(None)[1]
+        _, got = self._run(grouped, plain)
+        untraced = self._run(None, plain)[1]
+        staged = Tracer()
+        _, default = self._run(staged)
         assert_same_bytes(got, want, "traced grouped vs ungrouped")
         assert_same_bytes(untraced, got, "tracer on vs off")
+        assert_same_bytes(default, got, "prefix stages vs merges")
 
         blocks = [e for e in grouped.events if e.name == "phase1_block"]
         assert [(b.args["first_chunk"], b.args["rows"]) for b in blocks] == [
@@ -194,9 +212,18 @@ class TestGroupedTrace:
         levels = [e for e in grouped.events if e.name == "merge_level"]
         for event in levels:
             assert any(
-                b.ts <= event.ts and event.ts + event.dur <= b.ts + b.dur
-                for b in blocks
+                nested(event, b) for b in blocks
             ), "merge_level span outside every phase1_block"
+
+        staged_blocks = [e for e in staged.events if e.name == "phase1_block"]
+        assert [(b.args["first_chunk"], b.args["rows"]) for b in staged_blocks] == [
+            (0, 2), (2, 2), (4, 1)
+        ]
+        stages = [e for e in staged.events if e.name == "prefix_stage"]
+        assert [e.args["stride"] for e in stages] == [1, 1] * len(staged_blocks)
+        assert not [e for e in staged.events if e.name == "merge_level"]
+        for i, event in enumerate(stages):
+            assert nested(event, staged_blocks[i // 2])
 
         plan = solver.plan_for(self.N_CHUNKS * plan_m - 3)
         widths = doubling_widths(plan.values_per_thread, plan.chunk_size)

@@ -417,6 +417,9 @@ class TestServePathOverhead:
     reply, so it is measured directly against a representative solve."""
 
     def test_bookkeeping_under_5_percent_of_a_small_solve(self):
+        # The bookkeeping is timed on its own, as the best of many runs,
+        # against the best-of-N solve.  Subtracting two noisy solve
+        # timings would measure scheduler jitter, not the bookkeeping.
         solver = PLRSolver("(1: 0.9)")
         values = np.random.default_rng(0).standard_normal(4096).astype(
             np.float32
@@ -428,17 +431,16 @@ class TestServePathOverhead:
             SLOConfig(latency_objective_ms=50.0, target=0.99)
         )
 
-        def plain():
+        def solve():
             solver.solve(values)
 
-        def with_bookkeeping():
-            solver.solve(values)
+        def bookkeeping():
             trace_id = new_trace_id()
             head = policy.sample_head(trace_id)
             policy.decision(head_sampled=head, ok=True, latency_ms=1.0)
             tracker.record(ok=True, latency_ms=1.0)
 
-        def best_of(fn, repeats=5):
+        def best_of(fn, repeats):
             best = float("inf")
             for _ in range(repeats):
                 t0 = time.perf_counter()
@@ -446,12 +448,9 @@ class TestServePathOverhead:
                 best = min(best, time.perf_counter() - t0)
             return best
 
-        for _ in range(3):
-            baseline = best_of(plain)
-            instrumented = best_of(with_bookkeeping)
-            if instrumented <= baseline * 1.05:
-                return
-        pytest.fail(
-            f"serve-path bookkeeping cost {instrumented / baseline - 1:.1%} "
+        solve_s = best_of(solve, 50)
+        bookkeeping_s = best_of(bookkeeping, 500)
+        assert bookkeeping_s <= 0.05 * solve_s, (
+            f"serve-path bookkeeping cost {bookkeeping_s / solve_s:.1%} "
             "of a 4k-element solve (must be < 5%)"
         )
