@@ -29,6 +29,7 @@ from repro.core.recurrence import Recurrence
 from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.obs.tracer import NULL_TRACER
+from repro.plr.optimizer import optimize_factors
 from repro.plr.phase1 import check_integer_coefficients, phase1_inplace
 from repro.plr.phase2 import phase2
 from repro.plr.planner import ExecutionPlan, plan_execution
@@ -102,12 +103,18 @@ def solve_batch(
     padded[:, :n] = work
 
     table = cached_factor_table(recurrence.recursive_signature, m, dtype)
+    factor_plan = optimize_factors(table)
 
     if backend == "process":
         from repro.parallel.backend import solve_batch_sharded
 
         corrected = solve_batch_sharded(
-            padded, table, plan.values_per_thread, options=shard_options, tracer=tracer
+            padded,
+            table,
+            plan.values_per_thread,
+            options=shard_options,
+            tracer=tracer,
+            plan=factor_plan,
         )
         return corrected.reshape(rows, chunks * m)[:, :n]
 
@@ -116,10 +123,13 @@ def solve_batch(
     # `padded` is a fresh local buffer, so both phases work on it in
     # place — no second (rows * chunks, m) allocation.
     phase1_inplace(
-        padded.reshape(rows * chunks, m), table, plan.values_per_thread, tracer=tracer
+        padded.reshape(rows * chunks, m),
+        factor_plan,
+        plan.values_per_thread,
+        tracer=tracer,
     )
     partial = padded.reshape(rows, chunks, m)
-    corrected = phase2(partial, table, tracer=tracer, out=partial)
+    corrected = phase2(partial, table, tracer=tracer, out=partial, plan=factor_plan)
     return corrected.reshape(rows, chunks * m)[:, :n]
 
 

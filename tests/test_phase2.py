@@ -9,6 +9,7 @@ from repro.core.nnacci import carry_transition_matrix
 from repro.core.reference import serial_recurrence
 from repro.core.signature import Signature
 from repro.plr.factors import CorrectionFactorTable
+from repro.plr.optimizer import optimize_factors
 from repro.plr.phase1 import phase1
 from repro.plr.phase2 import (
     apply_global_correction,
@@ -167,5 +168,5 @@ class TestEndToEnd:
         table = CorrectionFactorTable.build(sig, 4, np.int64)
         partial = rng.integers(0, 9, (3, 4)).astype(np.int64)
         carries = propagate_carries(local_carries(partial, 1), transition_matrix(table))
-        out = apply_global_correction(partial, carries, table)
+        out = apply_global_correction(partial, carries, optimize_factors(table))
         np.testing.assert_array_equal(out[0], partial[0])
