@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--backend",
-        choices=("single", "native", "process", "auto"),
+        choices=PLRSolver.BACKENDS,
         default="single",
         help="solve backend for grouped flushes: single = vectorized "
         "numpy; native = JIT-compiled C kernels (numpy fallback when no "

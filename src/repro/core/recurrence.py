@@ -45,6 +45,15 @@ class Recurrence:
         """Build a recurrence from a signature string like ``"(1: 1)"``."""
         return cls(Signature.parse(text))
 
+    @classmethod
+    def coerce(cls, value: "Recurrence | Signature | str") -> "Recurrence":
+        """``value`` as a recurrence: strings parse, signatures wrap."""
+        if isinstance(value, str):
+            return cls.parse(value)
+        if isinstance(value, Signature):
+            return cls(value)
+        return value
+
     # ------------------------------------------------------------------
     @cached_property
     def classification(self) -> Classification:

@@ -249,8 +249,7 @@ def profile_simulation(
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
 
-    if isinstance(recurrence, str):
-        recurrence = Recurrence.parse(recurrence)
+    recurrence = Recurrence.coerce(recurrence)
     machine = machine or MachineSpec.small_test_gpu()
     if values is None:
         rng = np.random.default_rng(seed)

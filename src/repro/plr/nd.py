@@ -5,11 +5,12 @@ processing baselines (Alg3, Rec) exist precisely because 2D recursive
 filtering matters.  This module provides that on top of the 1D
 machinery:
 
-* :func:`solve_batch` — many independent sequences at once.  The
-  algorithm is unchanged; the win is that Phase 1's merges and Phase
-  2's carry spine vectorize across the batch (the per-chunk-index loop
-  advances *every* row simultaneously), so filtering a 4096-row image
-  costs barely more Python overhead than one row.
+* :func:`solve_batch` — many independent sequences at once, through
+  the solver's one (B, n) core.  The algorithm is unchanged; the win
+  is that Phase 1's merges and Phase 2's carry spine vectorize across
+  the batch (the per-chunk-index loop advances *every* row
+  simultaneously), so filtering a 4096-row image costs barely more
+  Python overhead than one row.
 * :func:`filter_axis` — apply a recurrence along either axis of a 2D
   array (rows are independent sequences, exactly how Alg3/Rec treat
   scanlines).
@@ -26,24 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.recurrence import Recurrence
-from repro.core.reference import resolve_dtype
 from repro.core.signature import Signature
 from repro.obs.tracer import NULL_TRACER
-from repro.plr.optimizer import optimize_factors
-from repro.plr.phase1 import check_integer_coefficients, phase1_inplace
-from repro.plr.phase2 import phase2
-from repro.plr.planner import ExecutionPlan, plan_execution
-from repro.plr.solver import cached_factor_table
+from repro.plr.planner import ExecutionPlan
+from repro.plr.solver import PLRSolver
 
 __all__ = ["solve_batch", "filter_axis", "filter2d", "summed_area_table"]
-
-
-def _as_recurrence(recurrence: Recurrence | Signature | str) -> Recurrence:
-    if isinstance(recurrence, str):
-        return Recurrence.parse(recurrence)
-    if isinstance(recurrence, Signature):
-        return Recurrence(recurrence)
-    return recurrence
 
 
 def solve_batch(
@@ -59,78 +48,25 @@ def solve_batch(
 
     ``values`` has shape (rows, n); each row is its own sequence with
     its own zero history.  Returns an array of the same shape.  This is
-    the vectorized core the batched execution engine
-    (:mod:`repro.batch`) builds on: Phase 1 runs over all (row, chunk)
-    pairs at once and Phase 2's carry spine walks the chunk axis once
-    for every row simultaneously.
+    the functional form of :class:`~repro.batch.solver.BatchSolver`,
+    over the same solve core as :class:`~repro.plr.solver.PLRSolver`:
+    Phase 1 runs over all (row, chunk) pairs at once and Phase 2's carry
+    spine walks the chunk axis once for every row simultaneously.
 
     ``plan`` overrides the paper's planner (the batch engine passes the
     plan it grouped requests under); ``tracer`` threads an optional
     :class:`~repro.obs.tracer.Tracer` into the phase kernels.
-
-    ``backend="process"`` shards the *batch axis* across a multicore
-    pool (:func:`repro.parallel.solve_batch_sharded`): rows are
-    independent, so each worker completes its rows end to end with no
-    carry exchange; ``shard_options`` tunes the pool.
+    ``backend`` is any of :attr:`PLRSolver.BACKENDS
+    <repro.plr.solver.PLRSolver.BACKENDS>`; ``"process"`` shards the
+    *batch axis* across a multicore pool
+    (:func:`repro.parallel.solve_batch_sharded`), so each worker
+    completes its rows end to end with no carry exchange (a single row
+    is chunk-sharded), and ``shard_options`` tunes the pool.
     """
-    if backend not in ("single", "process"):
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'single' or 'process'"
-        )
-    recurrence = _as_recurrence(recurrence)
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2D (rows, n) array, got shape {values.shape}")
-    rows, n = values.shape
-    if rows == 0 or n == 0:
-        return values.astype(dtype or values.dtype)
-    if dtype is None:
-        dtype = resolve_dtype(recurrence.signature, values.dtype)
-    dtype = np.dtype(dtype)
-    check_integer_coefficients(
-        recurrence.signature.feedforward + recurrence.signature.feedback, dtype
+    solver = PLRSolver(
+        recurrence, tracer=tracer, backend=backend, shard_options=shard_options
     )
-
-    work = values.astype(dtype, copy=False)
-    if recurrence.has_map_stage:
-        work = recurrence.apply_map_stage(work)
-
-    if plan is None:
-        plan = plan_execution(recurrence.signature, n)
-    m = plan.chunk_size
-    chunks = -(-n // m)
-    padded = np.zeros((rows, chunks * m), dtype=dtype)
-    padded[:, :n] = work
-
-    table = cached_factor_table(recurrence.recursive_signature, m, dtype)
-    factor_plan = optimize_factors(table)
-
-    if backend == "process":
-        from repro.parallel.backend import solve_batch_sharded
-
-        corrected = solve_batch_sharded(
-            padded,
-            table,
-            plan.values_per_thread,
-            options=shard_options,
-            tracer=tracer,
-            plan=factor_plan,
-        )
-        return corrected.reshape(rows, chunks * m)[:, :n]
-
-    # Phase 1 treats every (row, chunk) pair as an independent chunk;
-    # Phase 2 runs its carry spine once, vectorized across all rows.
-    # `padded` is a fresh local buffer, so both phases work on it in
-    # place — no second (rows * chunks, m) allocation.
-    phase1_inplace(
-        padded.reshape(rows * chunks, m),
-        factor_plan,
-        plan.values_per_thread,
-        tracer=tracer,
-    )
-    partial = padded.reshape(rows, chunks, m)
-    corrected = phase2(partial, table, tracer=tracer, out=partial, plan=factor_plan)
-    return corrected.reshape(rows, chunks * m)[:, :n]
+    return solver._solve_rows(values, plan, dtype)
 
 
 def filter_axis(

@@ -98,9 +98,17 @@ def propagate_carries(
 
     ``locals_`` may carry leading batch axes before (num_chunks, k);
     the spine then walks the chunk axis once while every batch row's
-    matrix-vector product runs in the same vectorized step.
+    matrix-vector product runs in the same vectorized step, rounding
+    exactly as that row's own spine.  The loop is picked from the
+    shape: one row — no batch axis, or a batch of one — takes the plain
+    matrix-vector loop, which is faster for every caller.
     """
     num_chunks = locals_.shape[-2]
+    if locals_.ndim > 2 and locals_.size == num_chunks * locals_.shape[-1]:
+        # A batch of one is one row; dropping size-1 axes is a view.
+        row_base = None if base is None else np.asarray(base).reshape(-1)
+        row = propagate_carries(locals_.reshape(locals_.shape[-2:]), matrix, row_base)
+        return row.reshape(locals_.shape)
     out = np.empty_like(locals_)
     if num_chunks == 0:
         return out
@@ -112,13 +120,14 @@ def propagate_carries(
         for c in range(1, num_chunks):
             out[c] = locals_[c] + matrix @ out[c - 1]
         return out
-    transposed = matrix.T
+    # Several rows: the same matrix-vector product per row, stacked, so
+    # every row rounds exactly as it would alone.
     if base is None:
         out[..., 0, :] = locals_[..., 0, :]
     else:
-        out[..., 0, :] = locals_[..., 0, :] + np.asarray(base) @ transposed
+        out[..., 0, :] = locals_[..., 0, :] + (matrix @ np.asarray(base)[..., None])[..., 0]
     for c in range(1, num_chunks):
-        out[..., c, :] = locals_[..., c, :] + out[..., c - 1, :] @ transposed
+        out[..., c, :] = locals_[..., c, :] + (matrix @ out[..., c - 1, :, None])[..., 0]
     return out
 
 

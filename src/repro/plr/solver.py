@@ -170,6 +170,11 @@ def factor_cache_stats() -> dict[str, int]:
 class PLRSolver:
     """Computes a linear recurrence with the paper's two-phase algorithm.
 
+    A single solve is the batch of one: :class:`~repro.batch.BatchSolver`,
+    :func:`~repro.plr.nd.solve_batch` and the streaming solvers run the
+    same ``(B, n)`` core (:meth:`_solve`), so their rows agree with this
+    class byte for byte.
+
     Parameters
     ----------
     recurrence:
@@ -239,6 +244,8 @@ class PLRSolver:
     """
 
     BACKENDS = ("single", "process", "native", "auto")
+    """The one backend list; every other solver, ``ServeConfig`` and
+    ``plr serve --backend`` read it."""
 
     def __init__(
         self,
@@ -252,10 +259,7 @@ class PLRSolver:
         native_fallback: bool = True,
         policy=None,
     ) -> None:
-        if isinstance(recurrence, str):
-            recurrence = Recurrence.parse(recurrence)
-        elif isinstance(recurrence, Signature):
-            recurrence = Recurrence(recurrence)
+        recurrence = Recurrence.coerce(recurrence)
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
@@ -301,7 +305,7 @@ class PLRSolver:
         the solve's spans (plan, phases, sharded stages, worker lanes)
         parent under it so the solve joins a request-scoped trace.
         """
-        return self._solve(values, plan, dtype, keep_partial=False, context=context)[0]
+        return self._solve(_one_row(values), plan, dtype, context=context)[0][0]
 
     def solve_with_artifacts(
         self,
@@ -316,16 +320,52 @@ class PLRSolver:
         a copy rather than the Phase 1 buffer, so this entry point pays
         one extra (num_chunks, m) allocation that :meth:`solve` avoids.
         """
-        return self._solve(values, plan, dtype, keep_partial=True, context=context)
+        out, artifacts = self._solve(
+            _one_row(values), plan, dtype, keep_partial=True, context=context
+        )
+        return out[0], artifacts
+
+    def _solve_rows(
+        self,
+        values: np.ndarray,
+        plan: ExecutionPlan | None = None,
+        dtype: np.dtype | None = None,
+    ) -> np.ndarray:
+        """Every row of a (B, n) stack; B = 0 or n = 0 short-circuits.
+
+        The batch entry point (:class:`~repro.batch.solver.BatchSolver`,
+        :func:`~repro.plr.nd.solve_batch`, the streaming solvers): the
+        planner cannot -- and need not -- plan a zero-length solve.
+        """
+        values = np.asarray(values)
+        if values.ndim != 2:
+            raise ValueError(
+                f"expected a 2D (batch, n) array, got shape {values.shape}"
+            )
+        if values.size == 0:
+            if dtype is None:
+                dtype = resolve_dtype(self.recurrence.signature, values.dtype)
+            return values.astype(dtype)
+        return self._solve(values, plan, dtype)[0]
 
     def _solve(
         self,
         values: np.ndarray,
         plan: ExecutionPlan | None,
         dtype: np.dtype | None,
-        keep_partial: bool,
+        keep_partial: bool = False,
         context=None,
     ) -> tuple[np.ndarray, SolveArtifacts]:
+        """The one solve core: every row of a non-empty (B, n) stack.
+
+        Phase 1 corrects the stack's B * chunks chunks independently and
+        Phase 2 walks one carry spine over the chunk axis for all rows,
+        so a single sequence is B = 1.  Resolves the dtype, ``auto`` and
+        the plan, checks the coefficients, casts and maps the stack,
+        looks up the table and factor plan once, then runs the backend's
+        entry of :data:`_BACKEND_RUNS`.  A typed native failure degrades
+        to ``single`` unless the solver is strict (``native_fallback``).
+        """
         tracer = self.tracer
 
         def link():
@@ -333,10 +373,7 @@ class PLRSolver:
             # hot path allocates nothing.
             return context.child() if context is not None else None
 
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise ValueError(f"expected a 1D sequence, got shape {values.shape}")
-        n = values.size
+        rows, n = values.shape
         if dtype is None:
             dtype = resolve_dtype(self.recurrence.signature, values.dtype)
         dtype = np.dtype(dtype)
@@ -353,7 +390,7 @@ class PLRSolver:
             with tracer.span(
                 "plan",
                 cat="solver",
-                args={"n": n} if tracer.enabled else None,
+                args={"batch": rows, "n": n} if tracer.enabled else None,
                 link=link(),
             ):
                 plan = self.plan_for(n)
@@ -376,107 +413,36 @@ class PLRSolver:
             table = self.factor_table(plan, dtype)
         factor_plan = optimize_factors(table, self.optimization)
 
-        native_record = None
-        if backend == "native":
-            try:
-                out, native_record = self._solve_native(
-                    work, n, plan, table, factor_plan, tracer, link
-                )
-            except (BackendError, CodegenError) as exc:
-                if not self.native_fallback:
-                    raise
-                # Degrade to the numpy path below; the typed record on
-                # the artifacts (and the counter/instant) is the story.
-                from repro.codegen.jit import NativeAttempt
+        owned = work is not values
+        try:
+            out, partial, native = _BACKEND_RUNS[backend](
+                self, work, owned, plan, factor_plan, shard_options, keep_partial, link
+            )
+        except (BackendError, CodegenError) as exc:
+            if backend != "native" or not self.native_fallback:
+                raise
+            # Degrade to the numpy path; the typed record on the
+            # artifacts (and the counter/instant) is the story.
+            from repro.codegen.jit import NativeAttempt
 
-                native_record = NativeAttempt(
-                    used=False, error=f"{type(exc).__name__}: {exc}"
+            global_metrics().counter("native.fallbacks").inc()
+            if tracer.enabled:
+                tracer.instant(
+                    "native_fallback",
+                    cat="solver",
+                    args={"error": str(exc)[:200]},
+                    link=link(),
                 )
-                global_metrics().counter("native.fallbacks").inc()
-                if tracer.enabled:
-                    tracer.instant(
-                        "native_fallback",
-                        cat="solver",
-                        args={"error": str(exc)[:200]},
-                        link=link(),
-                    )
-            else:
-                artifacts = SolveArtifacts(
-                    plan=plan,
-                    table=table,
-                    factor_plan=factor_plan,
-                    partial=None,
-                    native=native_record,
-                    tuning=tuning,
-                    backend="native",
-                )
-                return out, artifacts
-
-        # Zero-pad to a whole number of chunks.  Trailing zeros never
-        # influence earlier outputs, so the unpadded prefix is exact.
-        padded_n = plan.padded_n
-        if padded_n != n:
-            padded = np.zeros(padded_n, dtype=dtype)
-            padded[:n] = work
-        else:
-            padded = work
-
-        partial: np.ndarray | None
-        if backend == "process":
-            from repro.parallel.backend import solve_sharded
-
-            sharded_ctx = link()
-            with tracer.span(
-                "solve_sharded",
-                cat="solver",
-                args={"chunks": padded_n // plan.chunk_size} if tracer.enabled else None,
-                link=sharded_ctx,
-            ):
-                corrected = solve_sharded(
-                    padded,
-                    table,
-                    plan.values_per_thread,
-                    options=shard_options,
-                    tracer=tracer,
-                    context=sharded_ctx,
-                    plan=factor_plan,
-                )
-            # Workers corrected their shared slabs in place; no host-side
-            # Phase 1 snapshot exists to expose.
-            partial = None
-        else:
-            with tracer.span(
-                "phase1",
-                cat="solver",
-                args={"chunks": padded_n // plan.chunk_size} if tracer.enabled else None,
-                link=link(),
-            ):
-                partial = padded.reshape(-1, plan.chunk_size)
-                if padded is values:
-                    # No pad, cast or map stage made a private buffer:
-                    # this is the caller's array, so work on a copy.
-                    partial = partial.copy()
-                phase1_inplace(partial, factor_plan, plan.values_per_thread, tracer=tracer)
-            with tracer.span("phase2", cat="solver", link=link()):
-                # Correct the Phase 1 buffer in place unless the caller
-                # asked for the pristine partial result.
-                corrected = phase2(
-                    partial,
-                    table,
-                    tracer=tracer,
-                    out=None if keep_partial else partial,
-                    plan=factor_plan,
-                )
-                if not keep_partial:
-                    partial = None
-
-        out = corrected.reshape(-1)[:n]
+            out, partial, _ = _solve_single(
+                self, work, owned, plan, factor_plan, shard_options, keep_partial, link
+            )
+            native = NativeAttempt(used=False, error=f"{type(exc).__name__}: {exc}")
         artifacts = SolveArtifacts(
             plan=plan,
             table=table,
             factor_plan=factor_plan,
             partial=partial,
-            native=native_record,
+            native=native,
             tuning=tuning,
             backend=backend,
         )
@@ -488,9 +454,11 @@ class PLRSolver:
         Returns ``(backend, shard_options, decision)``.  The policy's
         contract guarantees a decision (measured, interpolated, or
         static fallback with a typed reason) — this never raises on the
-        solve path.  A measured process decision also carries the
-        measured-best worker count, which fills a ``workers=None``
-        shard configuration without overriding an explicit one.
+        solve path.  The decision is per (signature class, row length,
+        dtype), so one lookup steers every row of a stack.  A measured
+        process decision also carries the measured-best worker count,
+        which fills a ``workers=None`` shard configuration without
+        overriding an explicit one.
         """
         from dataclasses import replace as dc_replace
 
@@ -518,34 +486,144 @@ class PLRSolver:
             )
         return decision.backend, shard_options, decision
 
-    def _solve_native(self, work, n, plan, table, factor_plan, tracer, link):
-        """Run the solve through the JIT-compiled C kernel.
 
-        ``work`` is the post-map-stage, unpadded input; the kernel is
-        :func:`~repro.codegen.jit.solver_kernel` for this plan.
+def _one_row(values: np.ndarray) -> np.ndarray:
+    """A 1D sequence as the (1, n) stack the core solves."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1D sequence, got shape {values.shape}")
+    return values[None]
 
-        Raises :class:`~repro.core.errors.BackendError` /
-        :class:`~repro.core.errors.CodegenError` when a kernel cannot be
-        produced; the caller decides whether that degrades or fails.
-        """
-        from repro.codegen.jit import NativeAttempt, solver_kernel
 
-        kernel = solver_kernel(
-            self.recurrence.recursive_signature, plan, table, factor_plan
+def _padded(work: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
+    """``work`` zero-padded to whole chunks; ``work`` itself if it fits.
+
+    Trailing zeros never influence earlier outputs, so the unpadded
+    prefix of every row is exact.
+    """
+    rows, n = work.shape
+    if plan.padded_n == n:
+        return work
+    padded = np.zeros((rows, plan.padded_n), dtype=work.dtype)
+    padded[:, :n] = work
+    return padded
+
+
+# The backends, one function each, all with the same parameters: the
+# solver, the cast and mapped (B, n) stack, whether the core owns that
+# buffer (False: it is still the caller's array), the execution and
+# factor plans, the pool options, whether to keep the Phase 1 result,
+# and the span-link factory.  Each returns ``(out, partial, native)``:
+# the (B, n) result, the Phase 1 chunks when kept, and the native record.
+
+
+def _solve_single(solver, work, owned, plan, factor_plan, shard_options, keep_partial, link):
+    """Phase 1 over all B * chunks chunks in place, then one carry spine."""
+    tracer = solver.tracer
+    rows, n = work.shape
+    m = plan.chunk_size
+    padded = _padded(work, plan)
+    with tracer.span(
+        "phase1",
+        cat="solver",
+        args={"chunks": padded.size // m} if tracer.enabled else None,
+        link=link(),
+    ):
+        chunks = padded.reshape(-1, m)
+        if padded is work and not owned:
+            # No pad, cast or map stage made a private buffer: this is
+            # the caller's array, so work on a copy.
+            chunks = chunks.copy()
+        phase1_inplace(chunks, factor_plan, plan.values_per_thread, tracer=tracer)
+    with tracer.span("phase2", cat="solver", link=link()):
+        # Correct the Phase 1 buffer in place unless the caller asked
+        # for the pristine partial result.  One row is the plain
+        # (chunks, m) matrix: no batch axis to index on the hot path.
+        partial = chunks if rows == 1 else chunks.reshape(rows, -1, m)
+        corrected = phase2(
+            partial,
+            factor_plan.table,
+            tracer=tracer,
+            out=None if keep_partial else partial,
+            plan=factor_plan,
         )
-        with tracer.span(
-            "native_kernel",
-            cat="solver",
-            args={"n": n, "digest": kernel.digest} if tracer.enabled else None,
-            link=link(),
-        ):
-            out = kernel(work)
-        record = NativeAttempt(
-            used=True, digest=kernel.digest, library_path=str(kernel.library_path)
-        )
-        return out, record
+    return corrected.reshape(rows, -1)[:, :n], chunks if keep_partial else None, None
+
+
+def _solve_process(solver, work, owned, plan, factor_plan, shard_options, keep_partial, link):
+    """The pool: one row is chunk-sharded, a stack is row-sharded.
+
+    Workers correct their shared slabs in place, so no host-side Phase 1
+    snapshot exists to keep.
+    """
+    from repro.parallel.backend import solve_batch_sharded, solve_sharded
+
+    tracer = solver.tracer
+    rows, n = work.shape
+    padded = _padded(work, plan)
+    sharded_ctx = link()
+    with tracer.span(
+        "solve_sharded",
+        cat="solver",
+        args={"chunks": padded.size // plan.chunk_size} if tracer.enabled else None,
+        link=sharded_ctx,
+    ):
+        if rows == 1:
+            corrected = solve_sharded(
+                padded.reshape(-1),
+                factor_plan.table,
+                plan.values_per_thread,
+                options=shard_options,
+                tracer=tracer,
+                context=sharded_ctx,
+                plan=factor_plan,
+            )
+        else:
+            corrected = solve_batch_sharded(
+                padded,
+                factor_plan.table,
+                plan.values_per_thread,
+                options=shard_options,
+                tracer=tracer,
+                plan=factor_plan,
+            )
+    return corrected.reshape(rows, -1)[:, :n], None, None
+
+
+def _solve_native(solver, work, owned, plan, factor_plan, shard_options, keep_partial, link):
+    """One call of the JIT-compiled kernel over the unpadded stack.
+
+    Raises :class:`~repro.core.errors.BackendError` /
+    :class:`~repro.core.errors.CodegenError` when no kernel can be
+    produced; the core decides whether that degrades or fails.
+    """
+    from repro.codegen.jit import NativeAttempt, solver_kernel
+
+    tracer = solver.tracer
+    kernel = solver_kernel(
+        solver.recurrence.recursive_signature, plan, factor_plan.table, factor_plan
+    )
+    with tracer.span(
+        "native_kernel",
+        cat="solver",
+        args={"n": work.shape[1], "digest": kernel.digest} if tracer.enabled else None,
+        link=link(),
+    ):
+        out = kernel.batch(work)
+    record = NativeAttempt(
+        used=True, digest=kernel.digest, library_path=str(kernel.library_path)
+    )
+    return out, None, record
+
+
+_BACKEND_RUNS = {
+    "single": _solve_single,
+    "process": _solve_process,
+    "native": _solve_native,
+}
+"""Backend name -> the function that runs a prepared stack on it."""
 
 
 def plr_solve(signature: str | Signature, values: np.ndarray) -> np.ndarray:
     """One-shot convenience: ``plr_solve("(1: 1)", x)`` -> prefix sum."""
-    return PLRSolver(Recurrence(Signature.parse(signature)) if isinstance(signature, str) else Recurrence(signature)).solve(values)
+    return PLRSolver(signature).solve(values)

@@ -212,7 +212,8 @@ class ResilientSolver:
         :class:`~repro.core.errors.BackendError` here, where the chain
         records a ``"backend"`` attempt and degrades to the numpy path
         without consuming a retry — the toolchain, like the pool, is an
-        accelerator, never a correctness dependency.
+        accelerator, never a correctness dependency.  ``backend="auto"``
+        degrades the same way from whichever accelerator it resolved to.
     context:
         Optional :class:`~repro.obs.context.TraceContext` naming the
         request this chain serves.  When set, the chain emits a
@@ -238,15 +239,12 @@ class ResilientSolver:
         shard_options=None,
         context: TraceContext | None = None,
     ) -> None:
-        if isinstance(recurrence, str):
-            recurrence = Recurrence.parse(recurrence)
-        elif isinstance(recurrence, Signature):
-            recurrence = Recurrence(recurrence)
+        recurrence = Recurrence.coerce(recurrence)
         if engine not in ("plr", "sim"):
             raise ValueError(f"engine must be plr|sim, got {engine!r}")
         if backend != "single" and engine == "sim":
             raise ValueError(
-                "backend='process' applies to the plr engine only; the "
+                f"backend={backend!r} applies to the plr engine only; the "
                 "simulator models its own parallelism"
             )
         self.recurrence = recurrence
@@ -405,37 +403,22 @@ class ResilientSolver:
                     plan = shrunk
                     continue
                 break
-            except WorkerError as exc:
+            except (WorkerError, BackendError) as exc:
+                # A dead pool worker (WorkerError) or a missing compiler /
+                # failed compile (BackendError) is an accelerator failure.
                 last_error = exc
+                worker = isinstance(exc, WorkerError)
+                outcome = "worker" if worker else "backend"
                 report.attempts.append(
-                    self._record(dtype, plan, seed, "worker", str(exc), t0, attempt_ctx)
+                    self._record(dtype, plan, seed, outcome, str(exc), t0, attempt_ctx)
                 )
-                self.metrics.counter("resilience.worker_faults").inc()
-                if self._solver.backend == "process":
-                    # A broken pool is not transient within this solve:
-                    # drop to the single-process path and go again
-                    # without consuming a retry — same arithmetic, no
-                    # pool to break.
-                    self._solver = PLRSolver(
-                        self.recurrence,
-                        machine=self.machine if self.engine == "plr" else None,
-                        tracer=self.tracer,
-                    )
-                    self._degrade(
-                        report, "process backend failed: single-process fallback"
-                    )
-                    continue
-            except BackendError as exc:
-                last_error = exc
-                report.attempts.append(
-                    self._record(dtype, plan, seed, "backend", str(exc), t0, attempt_ctx)
-                )
-                self.metrics.counter("resilience.backend_faults").inc()
-                if self._solver.backend == "native":
-                    # No compiler / failed compile is not transient
-                    # within this solve: drop to the numpy path and go
-                    # again without consuming a retry — same recurrence,
-                    # no toolchain dependency.
+                self.metrics.counter(f"resilience.{outcome}_faults").inc()
+                if self._solver.backend != "single":
+                    # Not transient within this solve, whether the
+                    # backend was named or resolved by "auto": drop to
+                    # the single-process numpy path and go again without
+                    # consuming a retry — same recurrence, no pool or
+                    # toolchain to break.
                     self._solver = PLRSolver(
                         self.recurrence,
                         machine=self.machine if self.engine == "plr" else None,
@@ -443,7 +426,9 @@ class ResilientSolver:
                     )
                     self._degrade(
                         report,
-                        "native backend failed: numpy single-process fallback",
+                        "process backend failed: single-process fallback"
+                        if worker
+                        else "native backend failed: numpy single-process fallback",
                     )
                     continue
             except DeadlockError as exc:

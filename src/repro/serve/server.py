@@ -61,7 +61,7 @@ from repro.parallel.sharding import check_pool_backend
 from repro.plr.optimizer import optimize_factors
 from repro.plr.phase1 import doubling_widths
 from repro.plr.planner import plan_execution
-from repro.plr.solver import cached_factor_table
+from repro.plr.solver import PLRSolver, cached_factor_table
 from repro.serve.protocol import (
     ControlFrame,
     ServerError,
@@ -183,9 +183,9 @@ class ServeConfig:
     ``backend="native"``, which runs one in-process OpenMP kernel."""
 
     def __post_init__(self) -> None:
-        if self.backend not in ("single", "native", "process", "auto"):
+        if self.backend not in PLRSolver.BACKENDS:
             raise ValueError(
-                "backend must be single|native|process|auto, "
+                f"backend must be one of {PLRSolver.BACKENDS}, "
                 f"got {self.backend!r}"
             )
         check_pool_backend(self.backend, self.workers)
@@ -432,8 +432,6 @@ class PLRServer:
         """
         started = time.perf_counter()
         try:
-            from repro.plr.solver import PLRSolver
-
             solver = PLRSolver("(1: 1)", backend="native", native_fallback=False)
             solver.solve(np.ones(max(self.config.min_bucket, 2), dtype=np.int32))
         except Exception:  # noqa: BLE001 — warmup is best-effort

@@ -32,6 +32,7 @@ import threading
 from dataclasses import dataclass
 from math import log2
 
+from repro.plr.solver import PLRSolver
 from repro.tune.db import CalibrationDatabase, n_bucket, signature_class
 
 __all__ = [
@@ -49,8 +50,6 @@ measurements, inputs at or above this length go native (dispatch and
 ctypes overhead dominate below it, the compiled loop dominates above —
 the committed bench trajectory puts the real crossover well under
 2^22, and 2^15 is conservative on every machine measured so far)."""
-
-_BACKEND_CHOICES = ("single", "process", "native")
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class TuningPolicy:
         return [
             entry
             for entry in entries
-            if entry.backend in _BACKEND_CHOICES
+            if entry.backend in PLRSolver.BACKENDS and entry.backend != "auto"
             and (entry.backend != "native" or native_ok)
         ]
 

@@ -306,6 +306,15 @@ class TestBatchSharding:
         out = sharded.solve(batch)
         assert np.array_equal(out[0], np.arange(1, 101, dtype=np.int64))
 
+    def test_one_row_is_chunk_sharded_like_a_single_solve(self):
+        """A batch of one is the single solve, slab reassociation and all."""
+        x = np.random.default_rng(3).standard_normal(3079)
+        for text in ("(1: 1.6, -0.64)", "(0.04: 1.6, -0.64)"):
+            single = PLRSolver(text, backend="process", workers=2)
+            batch = BatchSolver(text, backend="process", workers=2)
+            want = single.solve(x, dtype=np.float64)
+            assert batch.solve(x[None], dtype=np.float64)[0].tobytes() == want.tobytes()
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             BatchSolver("(1: 1)", backend="gpu")

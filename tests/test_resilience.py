@@ -513,6 +513,38 @@ class TestNestedDegradationOrdering:
         np.testing.assert_array_equal(report.output, np.cumsum(x, dtype=np.int32))
 
 
+    @pytest.mark.tune
+    def test_auto_resolved_accelerator_failure_degrades_at_once(self, monkeypatch):
+        """``backend="auto"`` resolving to a failing accelerator degrades
+        to single in one step, like naming that backend does — not
+        through scheduler retries down to the serial loop."""
+        from repro.codegen import jit
+        from repro.core.errors import BackendError
+        from repro.tune.policy import TuningDecision, TuningPolicy, set_default_policy
+
+        class NativePolicy(TuningPolicy):
+            def decide(self, signature, n, dtype):
+                return TuningDecision(backend="native", source="static", reason="stub")
+
+        def no_kernel(*args, **kwargs):
+            raise BackendError("no C compiler found (stub)")
+
+        set_default_policy(NativePolicy())
+        monkeypatch.setattr(jit, "solver_kernel", no_kernel)
+        x = np.arange(5000, dtype=np.int32)
+        report = ResilientSolver("(1: 1)", backend="auto").solve_with_report(x)
+        assert report.ok and report.engine == "plr"
+        assert [a.outcome for a in report.attempts] == ["backend", "ok"]
+        assert report.degradations == [
+            "native backend failed: numpy single-process fallback",
+        ]
+        np.testing.assert_array_equal(report.output, np.cumsum(x, dtype=np.int32))
+
+    def test_sim_engine_rejects_any_backend_by_name(self):
+        with pytest.raises(ValueError, match="backend='native'"):
+            ResilientSolver("(1: 1)", engine="sim", backend="native")
+
+
 class TestChaosExtensions:
     """Satellites of the serving PR: the chaos sweep reaches the
     process-sharded backend and the batch engine's mixed queues."""

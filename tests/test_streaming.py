@@ -366,3 +366,34 @@ class TestBatchStreamingSolver:
         out = solver.push(np.zeros((2, 0), dtype=np.int32))
         assert out.shape == (2, 0)
         assert solver.state.position == 0
+
+
+class TestOneShotBytes:
+    """Streams run the one-shot solver's core, so outputs match byte for
+    byte — ``tobytes``, because ``assert_array_equal`` treats -0.0 and
+    +0.0 as equal."""
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_signed_zeros_match_the_one_shot_solve(self, order):
+        from repro.core.coefficients import low_pass
+        from repro.plr.solver import PLRSolver
+
+        sig = low_pass(order)
+        total = np.full(300, -0.0, dtype=np.float32)
+        expected = PLRSolver(sig).solve(total)
+        assert not np.signbit(expected).any()  # the map stage's 0 + a0 * x
+        for cuts in ([], [1, 150], [7, 8, 299]):
+            out = StreamingSolver(sig).push_many(np.split(total, cuts))
+            assert out.tobytes() == expected.tobytes(), cuts
+
+    def test_single_stream_is_a_batch_of_one(self, table1_recurrence, rng):
+        from repro.plr.streaming import BatchStreamingSolver
+
+        total = make_values(table1_recurrence, 3000)
+        single = StreamingSolver(table1_recurrence)
+        batch = BatchStreamingSolver(table1_recurrence, batch_size=1)
+        cuts = sorted(set(rng.integers(1, 3000, 6).tolist()))
+        for block in np.split(total, cuts):
+            got = single.push(block)
+            assert got.tobytes() == batch.push(block[None])[0].tobytes()
+        assert single.state.outputs.tobytes() == batch.state.outputs[0].tobytes()
